@@ -33,11 +33,9 @@ from .errors import (
     VerificationError,
 )
 from .graphs import build_kmst, build_knnl, build_nnl, count_graph_family, read_graph, write_graph
-from .inference import analyze, analyze_fixed_graph, condition_diagnostics
+from .inference import DEFAULT_KAPPAS, analyze, analyze_fixed_graph, condition_diagnostics
 from .simulate import BUILTIN_SCENARIOS, built_in_scenario, parse_scenario_file, run_scenario
 from .stats import moments
-
-DEFAULT_KAPPAS = (1.31, 1.14, 1.0)
 
 
 def _default_threads() -> int:

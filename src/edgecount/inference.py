@@ -49,7 +49,21 @@ DIRECTIONS = {
     "max": "upper",
 }
 
-_PERM_CHUNK = 2048
+#: Default max-statistic kappas: about ``solve_kappa(gamma)`` for error-split
+#: ratios gamma = 2, 1 and 0.5 at alpha = 0.05.
+DEFAULT_KAPPAS = (1.31, 1.14, 1.0)
+
+# A permutation chunk holds at most this many bytes per B x K float64 block,
+# so a large K shrinks the chunk instead of multiplying memory by the
+# thread count. Blocks of a few MB also keep the sparse products in cache:
+# at K = 1,051 the kernel ran at 17 us per draw with 256 to 1,024 rows and
+# at 24 us with 2,048.
+_PERM_CHUNK_BYTES = 4 * 2**20
+_PERM_MAX_ROWS = 2048
+# Sampler rule: numpy's "count" method costs 6.5 to 11 ns per observation per
+# draw, "marginals" about 0.15 us per distinct value per draw, so "count"
+# wins while N is at most about 20 K.
+_COUNT_SAMPLER_MAX_RATIO = 20
 # Slack for "at least as extreme" comparisons between floating-point
 # statistics: exact mathematical ties must count as hits even when the two
 # sides were rounded differently.
@@ -67,6 +81,11 @@ def normal_quantile(p: float) -> float:
     return float(ndtri(p))
 
 
+def normal_sf(x: float) -> float:
+    """Standard normal upper tail Q(x) = 1 - Phi(x), without cancellation."""
+    return 0.5 * math.erfc(float(x) / math.sqrt(2.0))
+
+
 def max_null_cdf(x: float, kappa: float) -> float:
     """Asymptotic null CDF of the max-type statistic (supported on x >= 0)."""
     if kappa <= 0:
@@ -81,9 +100,9 @@ def pvalue_analytic(kind: str, value: float, kappa: float | None = None) -> floa
     if kind == "edge":
         return normal_cdf(value)
     if kind == "weighted":
-        return 1.0 - normal_cdf(value)
+        return normal_sf(value)
     if kind == "difference":
-        return 2.0 * (1.0 - normal_cdf(abs(value)))
+        return math.erfc(abs(float(value)) / math.sqrt(2.0))
     if kind == "generalized":
         if value < 0:
             raise ValueError("the generalized statistic cannot be negative")
@@ -91,7 +110,14 @@ def pvalue_analytic(kind: str, value: float, kappa: float | None = None) -> floa
     if kind == "max":
         if kappa is None:
             raise InputFormatError("max statistic needs a kappa")
-        return 1.0 - max_null_cdf(value, kappa)
+        if kappa <= 0:
+            raise InputFormatError("kappa must be positive")
+        if value <= 0:
+            return 1.0
+        # 1 - Phi(x/kappa) * (2 Phi(x) - 1), expanded into upper tails so it
+        # stays positive far past the point where Phi rounds to 1.
+        qa, qb = normal_sf(value / kappa), normal_sf(value)
+        return qa + 2.0 * qb - 2.0 * qa * qb
     raise InputFormatError(f"unknown statistic kind {kind!r}")
 
 
@@ -165,6 +191,16 @@ def _chunk_hits(kernel: StatisticKernel, counts: np.ndarray, observed: dict) -> 
     return hits
 
 
+def _chunk_rows(n_values: int) -> int:
+    """Draws per permutation chunk: at most _PERM_CHUNK_BYTES per B x K block."""
+    return max(1, min(_PERM_MAX_ROWS, _PERM_CHUNK_BYTES // (8 * n_values)))
+
+
+def _sampler_method(n_total: int, n_values: int) -> str:
+    """The cheaper multivariate hypergeometric method for N observations on K values."""
+    return "count" if n_total <= _COUNT_SAMPLER_MAX_RATIO * n_values else "marginals"
+
+
 def permutation_pvalues(
     table: DistinctTable,
     c0: SimilarityGraph,
@@ -177,16 +213,19 @@ def permutation_pvalues(
     """Monte-Carlo permutation p-values for every statistic, both summaries.
 
     Uniform label assignments are sampled through their per-value count
-    vectors (multivariate hypergeometric), so each draw costs O(K + |C0|).
-    The add-one estimator (1 + hits)/(1 + B) keeps every p-value valid and
-    positive. Draws are generated in fixed-size chunks with one child seed
-    per chunk, so the result depends only on (seed, B), not on the thread
-    count.
+    vectors (multivariate hypergeometric), and the counts are sparse
+    quadratic forms in those vectors, so B draws cost O(B (K + |C0|)) time
+    and O(B K) memory. The add-one estimator (1 + hits)/(1 + B) keeps every
+    p-value valid and positive. Draws are generated in chunks whose size
+    depends only on K, with one child seed per chunk, so the result depends
+    only on (seed, B, K) for a given instance, not on the thread count.
+    Each worker thread holds one chunk, so ``threads`` multiplies the
+    memory bound.
     """
     if n_perm < 1:
         raise InputFormatError("need at least one permutation")
     kernel = StatisticKernel(table, c0, mset, kappas)
-    observed_row = kernel.evaluate(table.counts1[None, :].astype(np.float64))
+    observed_row = kernel.evaluate(table.counts1[None, :])
     observed = {
         name: {
             "edge_z": float(block["edge_z"][0]),
@@ -200,15 +239,17 @@ def permutation_pvalues(
 
     m = [int(x) for x in table.multiplicity]
     n1 = table.n1
-    sizes = [_PERM_CHUNK] * (n_perm // _PERM_CHUNK)
-    if n_perm % _PERM_CHUNK:
-        sizes.append(n_perm % _PERM_CHUNK)
+    method = _sampler_method(table.n_total, table.n_values)
+    rows = _chunk_rows(table.n_values)
+    sizes = [rows] * (n_perm // rows)
+    if n_perm % rows:
+        sizes.append(n_perm % rows)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
 
     def run_chunk(i: int) -> dict:
         rng = np.random.default_rng(children[i])
-        counts = rng.multivariate_hypergeometric(m, n1, size=sizes[i], method="marginals")
-        return _chunk_hits(kernel, counts.astype(np.float64), observed)
+        counts = rng.multivariate_hypergeometric(m, n1, size=sizes[i], method=method)
+        return _chunk_hits(kernel, counts, observed)
 
     if threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -498,7 +539,7 @@ class TestReport:
 def analyze(
     table: DistinctTable,
     c0: SimilarityGraph,
-    kappas: tuple[float, ...] = (1.31, 1.14, 1.0),
+    kappas: tuple[float, ...] = DEFAULT_KAPPAS,
     n_perm: int | None = None,
     seed: int = 0,
     threads: int = 1,
@@ -548,7 +589,7 @@ def analyze(
 def analyze_fixed_graph(
     graph: SimilarityGraph,
     labels,
-    kappas: tuple[float, ...] = (1.31, 1.14, 1.0),
+    kappas: tuple[float, ...] = DEFAULT_KAPPAS,
     n_perm: int | None = None,
     seed: int = 0,
     threads: int = 1,

@@ -23,12 +23,10 @@ import numpy as np
 from .dataset import deduplicate, pairwise_distances
 from .errors import InputFormatError
 from .graphs import build_kmst, build_knnl
-from .inference import analytic_pvalue_block
+from .inference import DEFAULT_KAPPAS, analytic_pvalue_block
 from .stats import SUMMARIES, evaluate_statistics, moments
 
 MAX_OBJECTS = 8
-
-DEFAULT_KAPPAS = (1.31, 1.14, 1.0)
 
 
 @lru_cache(maxsize=None)

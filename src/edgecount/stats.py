@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .dataset import DistinctTable
 from .errors import DegenerateNullError, InputFormatError
@@ -203,6 +204,87 @@ def _resolve_counts1(table: DistinctTable, counts1) -> np.ndarray:
     return arr
 
 
+class WithinForms:
+    """Within-sample counts of both summaries as sparse quadratic forms.
+
+    Per summary, each value u has a self-pair weight d_u and each edge of
+    C0 a weight w_uv. With the sparse matrix U holding d on its diagonal and
+    each edge's weight once (row u, column v), and ``total`` the constant
+    between + within1 + within2, the within counts of a per-value sample-1
+    count vector c1 with multiplicities m are
+
+        within1 = c1'U c1 - c1.d
+        within2 = total + c1'U c1 - c1.((U + U')m - d)
+
+    so a batch of draws never forms the sample-2 counts m - c1. The average
+    summary has d = 1/m and w = 1/(m_u m_v); the union summary has d = 1/2
+    and w = 1, which keeps its counts exact integers in float64. Count
+    matrices are K x B: one column per labeling.
+    """
+
+    def __init__(self, multiplicity, c0: SimilarityGraph) -> None:
+        m_int = np.asarray(multiplicity, dtype=np.int64)
+        k = m_int.size
+        if c0.n_nodes != k:
+            raise InputFormatError("graph and table disagree on the number of distinct values")
+        m = m_int.astype(np.float64)
+        ea = c0.edge_array
+        ea = ea[np.argsort(ea[:, 0], kind="stable")]
+        u, v = ea[:, 0], ea[:, 1]
+        # CSR layout shared by both summaries: row r holds its diagonal entry,
+        # then the edges (r, v); with edges sorted by u, edge i lands at i + u + 1.
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=k) + 1)])
+        diag_at = indptr[:-1]
+        edge_at = np.arange(u.size) + u + 1
+        indices = np.empty(k + u.size, dtype=np.int64)
+        indices[diag_at] = np.arange(k)
+        indices[edge_at] = v
+        self._forms: dict[str, tuple] = {}
+        for name, self_weight, edge_weight, total in (
+            ("average", 1.0 / m, 1.0 / (m[u] * m[v]),
+             int(m_int.sum()) - k + c0.n_edges),
+            ("union", np.full(k, 0.5), np.ones(u.size),
+             int((m_int * (m_int - 1) // 2).sum()) + int((m_int[u] * m_int[v]).sum())),
+        ):
+            data = np.empty(k + u.size)
+            data[diag_at] = self_weight
+            data[edge_at] = edge_weight
+            q = csr_array((data, indices, indptr), shape=(k, k))
+            within2_linear = q @ m + q.T @ m - self_weight
+            self._forms[name] = (q, self_weight, within2_linear, float(total))
+
+    def total(self, name: str) -> float:
+        return self._forms[name][3]
+
+    def within1(self, ct: np.ndarray) -> dict[str, np.ndarray]:
+        """within1 per summary; applied to m - c1 it gives within2."""
+        return {name: _quadratic(q, ct) - _dot(d, ct) for name, (q, d, _, _) in self._forms.items()}
+
+    def __call__(self, ct: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """(within1, within2) per summary, from the sample-1 counts alone."""
+        out = {}
+        for name, (q, d, b, total) in self._forms.items():
+            quad = _quadratic(q, ct)
+            out[name] = (quad - _dot(d, ct), total + quad - _dot(b, ct))
+        return out
+
+
+def _quadratic(q, ct: np.ndarray) -> np.ndarray:
+    """Column-wise c'U c for the columns c of ct."""
+    prod = q @ ct
+    prod *= ct
+    return prod.sum(axis=0)
+
+
+def _dot(weights: np.ndarray, ct: np.ndarray) -> np.ndarray:
+    """weights.c for the columns c of ct.
+
+    einsum rather than a BLAS product: a multithreaded BLAS spins its own
+    threads on this small product and stalls the permutation worker threads.
+    """
+    return np.einsum("k,kb->b", weights, ct)
+
+
 def extended_counts(table: DistinctTable, c0: SimilarityGraph, counts1=None) -> ExtendedCounts:
     """Raw between/within counts under both summaries.
 
@@ -211,25 +293,17 @@ def extended_counts(table: DistinctTable, c0: SimilarityGraph, counts1=None) -> 
     """
     if c0.n_nodes != table.n_values:
         raise InputFormatError("graph and table disagree on the number of distinct values")
-    c1 = _resolve_counts1(table, counts1).astype(np.float64)
-    m = table.multiplicity.astype(np.float64)
-    c2 = m - c1
-    ea = c0.edge_array
-    u, v = ea[:, 0], ea[:, 1]
-    inv_mm = 1.0 / (m[u] * m[v]) if ea.shape[0] else np.empty(0)
-
-    within1_avg = float((c1 * (c1 - 1) / m).sum() + (c1[u] * c1[v] * inv_mm).sum())
-    within2_avg = float((c2 * (c2 - 1) / m).sum() + (c2[u] * c2[v] * inv_mm).sum())
-    between_avg = float(
-        (2.0 * c1 * c2 / m).sum() + ((c1[u] * c2[v] + c1[v] * c2[u]) * inv_mm).sum()
-    )
-    within1_un = float((c1 * (c1 - 1) / 2.0).sum() + (c1[u] * c1[v]).sum())
-    within2_un = float((c2 * (c2 - 1) / 2.0).sum() + (c2[u] * c2[v]).sum())
-    between_un = float((c1 * c2).sum() + (c1[u] * c2[v] + c1[v] * c2[u]).sum())
-    return ExtendedCounts(
-        average=CountTriple(between_avg, within1_avg, within2_avg),
-        union=CountTriple(between_un, within1_un, within2_un),
-    )
+    c1 = _resolve_counts1(table, counts1)
+    forms = WithinForms(table.multiplicity, c0)
+    # within2 is within1 of the sample-2 counts, so swapping the samples
+    # swaps the two counts bit for bit.
+    within1 = forms.within1(c1[:, None].astype(np.float64))
+    within2 = forms.within1((table.multiplicity - c1)[:, None].astype(np.float64))
+    triples = {}
+    for name in SUMMARIES:
+        w1, w2 = float(within1[name][0]), float(within2[name][0])
+        triples[name] = CountTriple(forms.total(name) - (w1 + w2), w1, w2)
+    return ExtendedCounts(average=triples["average"], union=triples["union"])
 
 
 def _average_summary_moments(
@@ -411,27 +485,9 @@ class StatisticKernel:
             raise InputFormatError("kappa values must be positive")
         self.mset = mset
         self.kappas = tuple(kappas)
-        self.m = table.multiplicity.astype(np.float64)
-        ea = c0.edge_array
-        self._eu = ea[:, 0]
-        self._ev = ea[:, 1]
-        self._inv_m = 1.0 / self.m
-        self._inv_mm = 1.0 / (self.m[self._eu] * self.m[self._ev])
+        self.n_values = table.n_values
+        self._within = WithinForms(table.multiplicity, c0)
         self._weight = mset.pooled_weight
-
-    def _raw(self, c1: np.ndarray) -> dict[str, np.ndarray]:
-        m = self.m
-        c2 = m[None, :] - c1
-        a1, a2 = c1[:, self._eu], c1[:, self._ev]
-        b1, b2 = c2[:, self._eu], c2[:, self._ev]
-        within1_avg = (c1 * (c1 - 1) * self._inv_m).sum(axis=1) + (a1 * a2 * self._inv_mm).sum(axis=1)
-        within2_avg = (c2 * (c2 - 1) * self._inv_m).sum(axis=1) + (b1 * b2 * self._inv_mm).sum(axis=1)
-        within1_un = (c1 * (c1 - 1) * 0.5).sum(axis=1) + (a1 * a2).sum(axis=1)
-        within2_un = (c2 * (c2 - 1) * 0.5).sum(axis=1) + (b1 * b2).sum(axis=1)
-        return {
-            "average": np.stack([within1_avg, within2_avg]),
-            "union": np.stack([within1_un, within2_un]),
-        }
 
     def evaluate(self, counts1_matrix: np.ndarray) -> dict[str, dict]:
         """Return per-summary arrays of every standardized statistic.
@@ -439,10 +495,12 @@ class StatisticKernel:
         Keys per summary: edge_z, weighted_z, difference_z, generalized,
         and max (a kappa-keyed dict).
         """
-        c1 = np.asarray(counts1_matrix, dtype=np.float64)
-        if c1.ndim != 2 or c1.shape[1] != self.m.size:
+        c1 = np.asarray(counts1_matrix)
+        if c1.ndim != 2 or c1.shape[1] != self.n_values:
             raise InputFormatError("counts matrix must be (B, n_values)")
-        raw = self._raw(c1)
+        # One K x B float64 copy: columns are draws, the layout the sparse
+        # product reads contiguously.
+        raw = self._within(np.ascontiguousarray(c1.T, dtype=np.float64))
         out: dict[str, dict] = {}
         for name in SUMMARIES:
             moms = self.mset.summary(name)

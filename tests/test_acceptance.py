@@ -256,6 +256,7 @@ def test_07_analytic_pvalues_reproduce_frozen_reference_pairs():
 #    p-value agreement with 10^4 permutations.
 
 
+@pytest.mark.slow
 def test_08_null_calibration_and_analytic_permutation_agreement():
     start = time.monotonic()
 
@@ -319,6 +320,7 @@ def test_08_null_calibration_and_analytic_permutation_agreement():
 #    against frozen full-scale reference powers and orderings.
 
 
+@pytest.mark.slow
 def test_09_power_reproduction_at_reduced_scale():
     def power(config: ScenarioConfig) -> dict[str, float]:
         return run_scenario(replace(config, replicates=300, seed=20260815)).power

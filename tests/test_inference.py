@@ -18,10 +18,15 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from edgecount import inference
 from edgecount.dataset import DistanceMatrix, DistinctTable
 from edgecount.errors import InputFormatError
 from edgecount.graphs import SimilarityGraph, build_nnl
 from edgecount.inference import (
+    _PERM_CHUNK_BYTES,
+    _PERM_MAX_ROWS,
+    _chunk_rows,
+    _sampler_method,
     analyze,
     analyze_fixed_graph,
     analytic_pvalue_block,
@@ -34,7 +39,7 @@ from edgecount.inference import (
     solve_kappa,
 )
 from edgecount.oracle import enumerate_permutations
-from edgecount.stats import SUMMARIES, evaluate_statistics, moments
+from edgecount.stats import SUMMARIES, StatisticKernel, evaluate_statistics, moments
 
 from conftest import (
     FIVE_VALUE_DISTANCES,
@@ -127,6 +132,24 @@ def test_analytic_pvalue_directions():
     )
 
 
+def test_upper_tail_pvalues_stay_accurate_far_in_the_tail():
+    with mpmath.workdps(60):
+        for z in (10.0, 30.0):
+            q = mpmath.ncdf(-mpmath.mpf(z))
+            cases = [
+                (pvalue_analytic("weighted", z), q),
+                (pvalue_analytic("difference", z), 2 * q),
+                (pvalue_analytic("difference", -z), 2 * q),
+            ]
+            for kappa in (1.0, 1.14, 1.31):
+                phi_a = mpmath.ncdf(mpmath.mpf(z) / mpmath.mpf(kappa))
+                phi_b = mpmath.ncdf(mpmath.mpf(z))
+                cases.append((pvalue_analytic("max", z, kappa=kappa), 1 - phi_a * (2 * phi_b - 1)))
+            for got, exact in cases:
+                assert got > 0.0
+                assert got == pytest.approx(float(exact), rel=1e-12)
+
+
 def test_analytic_pvalue_validation():
     with pytest.raises(InputFormatError):
         pvalue_analytic("sideways", 1.0)
@@ -196,21 +219,31 @@ def test_permutation_pvalues_are_deterministic_and_thread_invariant():
 
 def test_permutation_pvalues_match_the_exhaustive_null():
     table, c0 = five_value_instance()
-    n_perm = 20000
-    mc = permutation_pvalues(table, c0, n_perm=n_perm, seed=3)
-    null = enumerate_permutations(table, c0)
+    assert _sampler_method(table.n_total, table.n_values) == "count"
+    _assert_matches_exhaustive_null(table, c0, n_perm=20000, seed=3)
+
+
+def test_marginals_sampler_matches_the_exhaustive_null():
+    # N = 65 observations on K = 3 values: N > 20 K selects "marginals".
+    table = table_from_counts((18, 12, 2), (30, 25, 10))
+    c0 = SimilarityGraph.from_edges(3, [(0, 1), (1, 2)])
+    assert _sampler_method(table.n_total, table.n_values) == "marginals"
+    _assert_matches_exhaustive_null(table, c0, n_perm=20000, seed=5)
+
+
+def _assert_matches_exhaustive_null(table, c0, n_perm: int, seed: int) -> None:
+    mc = permutation_pvalues(table, c0, n_perm=n_perm, seed=seed)
+    # The enumeration runs over count vectors, so the cap on C(N, n1) is moot.
+    null = enumerate_permutations(table, c0, cap=math.comb(table.n_total, table.n1))
     n1, n = table.n1, table.n_total
     p_hat = Fraction(n1 - 1, n - 2)
     for name in SUMMARIES:
-        w1 = lambda r: r[f"within1_{name}"]
-        total = null.mean(lambda r: r[f"between_{name}"] + r[f"within1_{name}"] + r[f"within2_{name}"])
         fn_between = lambda r: r[f"between_{name}"]
         fn_weighted = lambda r: (1 - p_hat) * r[f"within1_{name}"] + p_hat * r[
             f"within2_{name}"
         ]
         mean_diff = null.mean(lambda r: r[f"within1_{name}"] - r[f"within2_{name}"])
         fn_diff_centered = lambda r: r[f"within1_{name}"] - r[f"within2_{name}"] - mean_diff
-        obs = null.rows[0]  # locate the observed labeling's raw counts
         observed = {
             "between": fn_between(_observed_row(null, table)),
             "weighted": fn_weighted(_observed_row(null, table)),
@@ -233,6 +266,36 @@ def _observed_row(null, table):
         if counts1 == target:
             return row
     raise AssertionError("observed count vector missing from the null support")
+
+
+def test_chunk_rows_respect_the_byte_budget():
+    assert _chunk_rows(5) == _PERM_MAX_ROWS
+    for k in (1_000, 3_000, 50_000, 10**6):
+        rows = _chunk_rows(k)
+        assert 1 <= rows < _PERM_MAX_ROWS
+        assert 8 * k * rows <= _PERM_CHUNK_BYTES < 8 * k * (rows + 1) or rows == 1
+
+
+def test_permutation_chunks_stay_within_the_byte_budget_at_large_k(monkeypatch):
+    # All multiplicities one (the fixed-graph table) on a 3,000-value path.
+    k = 3000
+    rng = np.random.default_rng(8)
+    labels = rng.permutation(np.repeat([1, 2], k // 2))
+    table = DistinctTable(labels=labels, value_index=np.arange(k), n_values=k)
+    c0 = SimilarityGraph.from_edges(k, [(u, u + 1) for u in range(k - 1)])
+    seen = []
+
+    class RecordingKernel(StatisticKernel):
+        def evaluate(self, counts1_matrix):
+            seen.append(np.asarray(counts1_matrix).shape[0])
+            return super().evaluate(counts1_matrix)
+
+    monkeypatch.setattr(inference, "StatisticKernel", RecordingKernel)
+    one = permutation_pvalues(table, c0, n_perm=400, seed=2)
+    draws = seen[1:]  # the first call evaluates the observed labeling
+    assert sum(draws) == 400 and len(draws) > 1
+    assert max(draws) * 8 * k <= _PERM_CHUNK_BYTES
+    assert permutation_pvalues(table, c0, n_perm=400, seed=2, threads=3) == one
 
 
 def test_permutation_pvalues_use_the_add_one_estimator():

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgecount.dataset import DistanceMatrix
+from edgecount.dataset import DistanceMatrix, DistinctTable
 from edgecount.errors import DegenerateNullError, InputFormatError
 from edgecount.graphs import (
     SimilarityGraph,
+    build_knnl,
     build_nnl,
     enumerate_graph_family,
     materialize_union_graph,
@@ -26,11 +27,13 @@ from edgecount.graphs import (
 from edgecount.oracle import (
     average_over_family,
     enumerate_permutations,
+    random_tied_matrix,
     union_counts_direct,
 )
 from edgecount.stats import (
     SUMMARIES,
     StatisticKernel,
+    WithinForms,
     edge_statistic,
     evaluate_statistics,
     extended_counts,
@@ -361,6 +364,63 @@ def test_kernel_batch_matches_scalar_evaluator(five_value_table):
                 assert out[name]["max"][kappa][b] == pytest.approx(
                     s.max_stats[kappa], rel=1e-10, abs=1e-12
                 )
+
+
+def _scanned_within(m, edges, c1) -> dict[str, tuple[Fraction, Fraction]]:
+    """Exact within counts by a direct loop over values and edges."""
+    c2 = [mu - c for mu, c in zip(m, c1)]
+    out = {}
+    for name, self_weight, edge_weight in (
+        ("average", lambda u: Fraction(1, m[u]), lambda u, v: Fraction(1, m[u] * m[v])),
+        ("union", lambda u: Fraction(1, 2), lambda u, v: 1),
+    ):
+        within = []
+        for c in (c1, c2):
+            value = sum(self_weight(u) * c[u] * (c[u] - 1) for u in range(len(m)))
+            value += sum(edge_weight(u, v) * c[u] * c[v] for u, v in edges)
+            within.append(value)
+        out[name] = tuple(within)
+    return out
+
+
+def _assert_forms_match_scan(table: DistinctTable, c0: SimilarityGraph, rng) -> None:
+    m = [int(x) for x in table.multiplicity]
+    batch = np.stack(
+        [table.counts1] + [rng.multivariate_hypergeometric(m, table.n1) for _ in range(7)]
+    )
+    batched = WithinForms(table.multiplicity, c0)(batch.T.astype(np.float64))
+    for b, c1 in enumerate(batch):
+        exact = _scanned_within(m, c0.edges, [int(x) for x in c1])
+        scalar = extended_counts(table, c0, counts1=c1)
+        for name in SUMMARIES:
+            w1, w2 = exact[name]
+            assert batched[name][0][b] == pytest.approx(float(w1), rel=1e-12, abs=1e-12)
+            assert batched[name][1][b] == pytest.approx(float(w2), rel=1e-12, abs=1e-12)
+            triple = scalar.summary(name)
+            assert triple.within1 == pytest.approx(float(w1), rel=1e-12, abs=1e-12)
+            assert triple.within2 == pytest.approx(float(w2), rel=1e-12, abs=1e-12)
+
+
+def test_within_forms_match_a_direct_edge_scan_on_tied_instances():
+    rng = np.random.default_rng(404)
+    for _ in range(40):
+        k = int(rng.integers(2, 41))
+        m = rng.integers(1, 6, size=k)
+        c1 = [int(rng.integers(0, mu + 1)) for mu in m]
+        table = table_from_counts(c1, m)
+        c0 = build_knnl(random_tied_matrix(rng, k), int(rng.integers(1, 3)))
+        _assert_forms_match_scan(table, c0, rng)
+
+
+def test_within_forms_match_a_direct_edge_scan_without_repeats():
+    # The all-multiplicities-one table that analyze_fixed_graph builds.
+    rng = np.random.default_rng(405)
+    for _ in range(10):
+        n = int(rng.integers(4, 60))
+        labels = rng.permutation(np.repeat([1, 2], [n // 2, n - n // 2]))
+        table = DistinctTable(labels=labels, value_index=np.arange(n), n_values=n)
+        c0 = build_knnl(random_tied_matrix(rng, n), 2)
+        _assert_forms_match_scan(table, c0, rng)
 
 
 def test_kernel_rejects_wrong_shapes(five_value_table):
