@@ -78,13 +78,9 @@ from .stats import (
     StatisticValues,
     evaluate_statistics,
     extended_counts,
-    generalized_statistic,
-    generalized_statistic_quadratic,
-    max_statistic,
     mixture_variance,
     moments,
     pergraph_statistics,
-    weighted_statistic,
 )
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ values, never on raw observations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -112,10 +113,16 @@ def _canonical_payloads(payloads, kind: str) -> np.ndarray:
         raise InputFormatError("payloads must have homogeneous shape")
     if arr.size == 0:
         raise InputFormatError("empty observation list")
+    if arr.dtype.kind == "f" and arr.ndim >= 1:
+        bad = np.nonzero(~np.isfinite(arr))[0]
+        if bad.size:
+            raise InputFormatError(f"observation {int(bad[0])} has a NaN or infinite coordinate")
     if kind == "vector":
         if arr.ndim != 2:
             raise InputFormatError("vector payloads must form an (N, d) array")
-        return arr.astype(np.float64)
+        # Adding +0.0 turns -0.0 into +0.0, so the byte-equality dedup sees
+        # one zero and the metric never meets two values at distance 0.
+        return arr.astype(np.float64) + 0.0
     if kind == "ranking":
         if arr.ndim != 2:
             raise InputFormatError("ranking payloads must form an (N, n_obj) array")
@@ -362,9 +369,12 @@ def _parse_row(path, lineno: int, cells: list[str], expect: int | None):
             f"{path}:{lineno}: expected {expect} comma-separated fields, got {len(cells)}"
         )
     try:
-        return [float(c) for c in cells]
+        row = [float(c) for c in cells]
     except ValueError:
         raise InputFormatError(f"{path}:{lineno}: non-numeric field") from None
+    if not all(math.isfinite(x) for x in row):
+        raise InputFormatError(f"{path}:{lineno}: NaN or infinite field")
+    return row
 
 
 def read_observations(path, kind: str) -> tuple[np.ndarray, np.ndarray]:

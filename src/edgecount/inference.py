@@ -33,11 +33,11 @@ from .stats import (
     SUMMARIES,
     MomentSet,
     StatisticKernel,
+    StatisticValues,
     SummaryMoments,
     SummaryStatistics,
     evaluate_statistics,
     moments,
-    pergraph_statistics,
 )
 
 #: Rejection direction per statistic kind.
@@ -172,19 +172,19 @@ def _extreme_hits(perm: np.ndarray, observed: float, direction: str) -> int:
     raise InputFormatError(f"unknown direction {direction!r}")
 
 
-def _chunk_hits(kernel: StatisticKernel, counts: np.ndarray, observed: dict) -> dict:
+def _chunk_hits(kernel: StatisticKernel, counts: np.ndarray, observed: StatisticValues) -> dict:
     values = kernel.evaluate(counts)
     hits: dict = {}
     for name in SUMMARIES:
         block = values[name]
-        obs = observed[name]
+        obs = observed.summary(name)
         hits[name] = {
-            "edge": _extreme_hits(block["edge_z"], obs["edge_z"], "lower"),
-            "weighted": _extreme_hits(block["weighted_z"], obs["weighted_z"], "upper"),
-            "difference": _extreme_hits(block["difference_z"], obs["difference_z"], "two_sided"),
-            "generalized": _extreme_hits(block["generalized"], obs["generalized"], "upper"),
+            "edge": _extreme_hits(block["edge_z"], obs.edge_z, "lower"),
+            "weighted": _extreme_hits(block["weighted_z"], obs.weighted_z, "upper"),
+            "difference": _extreme_hits(block["difference_z"], obs.difference_z, "two_sided"),
+            "generalized": _extreme_hits(block["generalized"], obs.generalized, "upper"),
             "max": {
-                kappa: _extreme_hits(block["max"][kappa], obs["max"][kappa], "upper")
+                kappa: _extreme_hits(block["max_stats"][kappa], obs.max_stats[kappa], "upper")
                 for kappa in kernel.kappas
             },
         }
@@ -225,17 +225,7 @@ def permutation_pvalues(
     if n_perm < 1:
         raise InputFormatError("need at least one permutation")
     kernel = StatisticKernel(table, c0, mset, kappas)
-    observed_row = kernel.evaluate(table.counts1[None, :])
-    observed = {
-        name: {
-            "edge_z": float(block["edge_z"][0]),
-            "weighted_z": float(block["weighted_z"][0]),
-            "difference_z": float(block["difference_z"][0]),
-            "generalized": float(block["generalized"][0]),
-            "max": {k: float(v[0]) for k, v in block["max"].items()},
-        }
-        for name, block in observed_row.items()
-    }
+    observed = kernel.evaluate_one(table.counts1)
 
     m = [int(x) for x in table.multiplicity]
     n1 = table.n1
@@ -547,8 +537,8 @@ def analyze(
     timestamp: str | None = None,
 ) -> TestReport:
     """Full distinct-value pipeline: moments, statistics, p-values, report."""
-    mset = moments(table, c0)
     union = union_graph_summary(c0, table)
+    mset = moments(table, c0, union)
     values = evaluate_statistics(table, c0, mset, kappas)
     perm = None
     if n_perm:
@@ -602,26 +592,24 @@ def analyze_fixed_graph(
     over tied distances can move every p-value.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    stats, moms = pergraph_statistics(graph, labels, kappas)
+    # A fixed graph is the all-multiplicities-one table, whose union block
+    # is the plain statistics on that graph (as in pergraph_statistics).
+    table = DistinctTable(labels=labels, value_index=np.arange(labels.size), n_values=labels.size)
+    mset = moments(table, graph)
+    stats = evaluate_statistics(table, graph, mset, kappas).union
     perm_block = None
     if n_perm:
-        # A fixed graph is the all-multiplicities-one special case, where the
-        # union summary reduces to plain statistics on that graph.
-        trivial = DistinctTable(
-            labels=labels, value_index=np.arange(labels.size), n_values=labels.size
-        )
-        perm = permutation_pvalues(trivial, graph, None, kappas, n_perm, seed, threads)
-        perm_block = perm["union"]
+        perm_block = permutation_pvalues(table, graph, mset, kappas, n_perm, seed, threads)["union"]
     block = SummaryBlock(
         name="fixed-graph",
         statistics=stats,
-        moments=moms,
+        moments=mset.union,
         analytic=analytic_pvalue_block(stats),
         permutation=perm_block,
     )
     meta = {
-        "observations": int(labels.size),
-        "sample_sizes": [int((labels == 1).sum()), int((labels == 2).sum())],
+        "observations": table.n_total,
+        "sample_sizes": [table.n1, table.n2],
         "graph_rule": graph_rule or "user-supplied",
         "graph_edges": graph.n_edges,
     }

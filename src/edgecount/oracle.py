@@ -16,8 +16,9 @@ from itertools import combinations
 import numpy as np
 
 from .dataset import DistanceMatrix, DistinctTable
-from .errors import FamilyTooLargeError, InputFormatError
+from .errors import DegenerateNullError, FamilyTooLargeError, InputFormatError
 from .graphs import SimilarityGraph, enumerate_graph_family, materialize_union_graph
+from .stats import SUMMARIES, ExtendedCounts, MomentSet
 
 
 def enumerate_count_vectors(multiplicity, n1: int):
@@ -168,6 +169,34 @@ def union_counts_direct(
     labels = table.labels if labels is None else np.asarray(labels, dtype=np.int64)
     union = materialize_union_graph(c0, table)
     return _scan_counts(union.edges, labels)
+
+
+def generalized_statistic_quadratic(counts: ExtendedCounts, mset: MomentSet) -> dict[str, float]:
+    """The generalized statistic as the quadratic form with the explicit 2x2 inverse.
+
+    Must agree with the decomposition into squared weighted and difference
+    z-scores to 1e-8 relative; kept separate because the covariance matrix
+    is ill-conditioned exactly when the difference statistic is near
+    degeneracy.
+    """
+    out = {}
+    for name in SUMMARIES:
+        triple = counts.summary(name)
+        moms = mset.summary(name)
+        dev = np.array(
+            [triple.within1 - moms.mean_within1, triple.within2 - moms.mean_within2]
+        )
+        sigma = np.array(
+            [[moms.var_within1, moms.cov_within], [moms.cov_within, moms.var_within2]]
+        )
+        det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0]
+        if det <= 0:
+            raise DegenerateNullError(
+                f"within-count covariance matrix is singular ({name} summary)"
+            )
+        inv = np.array([[sigma[1, 1], -sigma[0, 1]], [-sigma[1, 0], sigma[0, 0]]]) / det
+        out[name] = float(dev @ inv @ dev)
+    return out
 
 
 def _spans(n: int, edges) -> bool:

@@ -227,6 +227,7 @@ class WithinForms:
         k = m_int.size
         if c0.n_nodes != k:
             raise InputFormatError("graph and table disagree on the number of distinct values")
+        self._multiplicity = m_int
         m = m_int.astype(np.float64)
         ea = c0.edge_array
         ea = ea[np.argsort(ea[:, 0], kind="stable")]
@@ -256,9 +257,18 @@ class WithinForms:
     def total(self, name: str) -> float:
         return self._forms[name][3]
 
-    def within1(self, ct: np.ndarray) -> dict[str, np.ndarray]:
-        """within1 per summary; applied to m - c1 it gives within2."""
+    def _within1(self, ct: np.ndarray) -> dict[str, np.ndarray]:
         return {name: _quadratic(q, ct) - _dot(d, ct) for name, (q, d, _, _) in self._forms.items()}
+
+    def one(self, counts1: np.ndarray) -> dict[str, tuple[float, float]]:
+        """(within1, within2) per summary for a single labeling.
+
+        within2 is within1 of the sample-2 counts m - c1, not the c1-only
+        expansion, so swapping the samples swaps the two counts bit for bit.
+        """
+        within1 = self._within1(counts1[:, None].astype(np.float64))
+        within2 = self._within1((self._multiplicity - counts1)[:, None].astype(np.float64))
+        return {name: (float(within1[name][0]), float(within2[name][0])) for name in self._forms}
 
     def __call__(self, ct: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """(within1, within2) per summary, from the sample-1 counts alone."""
@@ -291,18 +301,11 @@ def extended_counts(table: DistinctTable, c0: SimilarityGraph, counts1=None) -> 
     ``counts1`` optionally replaces the table's own per-value sample-1
     counts by a hypothetical relabeling with the same multiplicities.
     """
-    if c0.n_nodes != table.n_values:
-        raise InputFormatError("graph and table disagree on the number of distinct values")
-    c1 = _resolve_counts1(table, counts1)
     forms = WithinForms(table.multiplicity, c0)
-    # within2 is within1 of the sample-2 counts, so swapping the samples
-    # swaps the two counts bit for bit.
-    within1 = forms.within1(c1[:, None].astype(np.float64))
-    within2 = forms.within1((table.multiplicity - c1)[:, None].astype(np.float64))
-    triples = {}
-    for name in SUMMARIES:
-        w1, w2 = float(within1[name][0]), float(within2[name][0])
-        triples[name] = CountTriple(forms.total(name) - (w1 + w2), w1, w2)
+    triples = {
+        name: CountTriple(forms.total(name) - (w1 + w2), w1, w2)
+        for name, (w1, w2) in forms.one(_resolve_counts1(table, counts1)).items()
+    }
     return ExtendedCounts(average=triples["average"], union=triples["union"])
 
 
@@ -456,17 +459,15 @@ def mixture_variance(moms: SummaryMoments, p: float) -> float:
     )
 
 
-def _zscore(value: float, mean: float, var: float, name: str) -> float:
-    if _is_degenerate(var, mean):
-        raise DegenerateNullError(f"null variance of {name} is zero; cannot standardize")
-    return (value - mean) / np.sqrt(var)
-
-
 class StatisticKernel:
-    """Vectorized evaluator mapping per-value sample-1 counts to statistics.
+    """The one map from per-value sample-1 counts to every statistic.
 
-    Built once per instance, then applied to any number of count vectors
-    (rows of a B x K matrix), which is what the permutation engine does.
+    Built once per instance (the moments, the kappas and the sparse within
+    forms), then applied either to one labeling (``evaluate_one``, which
+    ``evaluate_statistics``, ``pergraph_statistics`` and the observed side
+    of ``permutation_pvalues`` use) or to a batch of draws (``evaluate``,
+    rows of a B x K matrix, which is what the permutation engine does). Both
+    share one standardization step, so each statistic has one formula.
     """
 
     def __init__(
@@ -489,11 +490,56 @@ class StatisticKernel:
         self._within = WithinForms(table.multiplicity, c0)
         self._weight = mset.pooled_weight
 
-    def evaluate(self, counts1_matrix: np.ndarray) -> dict[str, dict]:
-        """Return per-summary arrays of every standardized statistic.
+    def _standardize(self, name: str, within1, within2) -> dict:
+        """Every statistic of one summary from its within counts.
 
-        Keys per summary: edge_z, weighted_z, difference_z, generalized,
-        and max (a kappa-keyed dict).
+        Works alike on floats (one labeling) and on arrays (a batch); the
+        keys are the fields of ``SummaryStatistics``.
+        """
+        moms = self.mset.summary(name)
+        between = moms.total - (within1 + within2)
+        weighted = (1.0 - self._weight) * within1 + self._weight * within2
+        difference = within1 - within2
+        edge_z, weighted_z, difference_z = (
+            (value - mean) / np.sqrt(var)
+            for value, mean, var in (
+                (between, moms.mean_between, moms.var_between),
+                (weighted, moms.mean_weighted, moms.var_weighted),
+                (difference, moms.mean_difference, moms.var_difference),
+            )
+        )
+        return {
+            "between": between,
+            "within1": within1,
+            "within2": within2,
+            "weighted": weighted,
+            "difference": difference,
+            "edge_z": edge_z,
+            "weighted_z": weighted_z,
+            "difference_z": difference_z,
+            "generalized": weighted_z**2 + difference_z**2,
+            "max_stats": {
+                kappa: np.maximum(kappa * weighted_z, np.abs(difference_z))
+                for kappa in self.kappas
+            },
+        }
+
+    def evaluate_one(self, counts1) -> StatisticValues:
+        """Every statistic of one labeling, given by its per-value sample-1 counts."""
+        c1 = np.asarray(counts1, dtype=np.int64)
+        if c1.shape != (self.n_values,):
+            raise InputFormatError("counts1 must have one entry per distinct value")
+        per_summary = {
+            name: SummaryStatistics(**self._standardize(name, w1, w2))
+            for name, (w1, w2) in self._within.one(c1).items()
+        }
+        return StatisticValues(average=per_summary["average"], union=per_summary["union"])
+
+    def evaluate(self, counts1_matrix: np.ndarray) -> dict[str, dict]:
+        """Per-summary arrays of every statistic for a batch of draws.
+
+        Each summary maps the ``SummaryStatistics`` field names to arrays
+        with one entry per row (``max_stats`` to a kappa-keyed dict of them).
         """
         c1 = np.asarray(counts1_matrix)
         if c1.ndim != 2 or c1.shape[1] != self.n_values:
@@ -501,110 +547,7 @@ class StatisticKernel:
         # One K x B float64 copy: columns are draws, the layout the sparse
         # product reads contiguously.
         raw = self._within(np.ascontiguousarray(c1.T, dtype=np.float64))
-        out: dict[str, dict] = {}
-        for name in SUMMARIES:
-            moms = self.mset.summary(name)
-            w1, w2 = raw[name]
-            between = moms.total - w1 - w2
-            weighted = (1.0 - self._weight) * w1 + self._weight * w2
-            edge_z = (between - moms.mean_between) / np.sqrt(moms.var_between)
-            weighted_z = (weighted - moms.mean_weighted) / np.sqrt(moms.var_weighted)
-            difference_z = (w1 - w2 - moms.mean_difference) / np.sqrt(moms.var_difference)
-            generalized = weighted_z**2 + difference_z**2
-            out[name] = {
-                "edge_z": edge_z,
-                "weighted_z": weighted_z,
-                "difference_z": difference_z,
-                "generalized": generalized,
-                "max": {
-                    kappa: np.maximum(kappa * weighted_z, np.abs(difference_z))
-                    for kappa in self.kappas
-                },
-            }
-        return out
-
-
-def weighted_statistic(counts: ExtendedCounts, mset: MomentSet) -> dict[str, tuple[float, float]]:
-    """The weighted within-count combination and its z-score, per summary.
-
-    The weight (n1 - 1)/(N - 2) on within2 minimizes the null variance of
-    the combination under both summaries.
-    """
-    p = mset.pooled_weight
-    out = {}
-    for name in SUMMARIES:
-        triple = counts.summary(name)
-        moms = mset.summary(name)
-        value = (1.0 - p) * triple.within1 + p * triple.within2
-        out[name] = (value, _zscore(value, moms.mean_weighted, moms.var_weighted, f"weighted ({name} summary)"))
-    return out
-
-
-def difference_statistic(counts: ExtendedCounts, mset: MomentSet) -> dict[str, tuple[float, float]]:
-    """within1 - within2 and its z-score, per summary."""
-    out = {}
-    for name in SUMMARIES:
-        triple = counts.summary(name)
-        moms = mset.summary(name)
-        value = triple.within1 - triple.within2
-        out[name] = (value, _zscore(value, moms.mean_difference, moms.var_difference, f"difference ({name} summary)"))
-    return out
-
-
-def edge_statistic(counts: ExtendedCounts, mset: MomentSet) -> dict[str, tuple[float, float]]:
-    """The between-sample count and its z-score, per summary."""
-    out = {}
-    for name in SUMMARIES:
-        triple = counts.summary(name)
-        moms = mset.summary(name)
-        out[name] = (
-            triple.between,
-            _zscore(triple.between, moms.mean_between, moms.var_between, f"edge ({name} summary)"),
-        )
-    return out
-
-
-def generalized_statistic(counts: ExtendedCounts, mset: MomentSet) -> dict[str, float]:
-    """Sum of squared weighted and difference z-scores, per summary."""
-    zw = weighted_statistic(counts, mset)
-    zd = difference_statistic(counts, mset)
-    return {name: zw[name][1] ** 2 + zd[name][1] ** 2 for name in SUMMARIES}
-
-
-def generalized_statistic_quadratic(counts: ExtendedCounts, mset: MomentSet) -> dict[str, float]:
-    """Cross-check path: the quadratic form with the explicit 2x2 inverse.
-
-    Must agree with the decomposition to 1e-8 relative; kept separate
-    because the covariance matrix is ill-conditioned exactly when the
-    difference statistic is near degeneracy.
-    """
-    out = {}
-    for name in SUMMARIES:
-        triple = counts.summary(name)
-        moms = mset.summary(name)
-        dev = np.array(
-            [triple.within1 - moms.mean_within1, triple.within2 - moms.mean_within2]
-        )
-        sigma = np.array(
-            [[moms.var_within1, moms.cov_within], [moms.cov_within, moms.var_within2]]
-        )
-        det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0]
-        if det <= 0:
-            raise DegenerateNullError(
-                f"within-count covariance matrix is singular ({name} summary)"
-            )
-        inv = np.array([[sigma[1, 1], -sigma[0, 1]], [-sigma[1, 0], sigma[0, 0]]]) / det
-        out[name] = float(dev @ inv @ dev)
-    return out
-
-
-def max_statistic(counts: ExtendedCounts, mset: MomentSet, kappa: float) -> dict[str, float]:
-    """max(kappa * weighted z, |difference z|), per summary."""
-    if kappa <= 0:
-        raise InputFormatError("kappa must be positive")
-    zw = weighted_statistic(counts, mset)
-    zd = difference_statistic(counts, mset)
-    return {name: max(kappa * zw[name][1], abs(zd[name][1])) for name in SUMMARIES}
+        return {name: self._standardize(name, *raw[name]) for name in SUMMARIES}
 
 
 def evaluate_statistics(
@@ -615,31 +558,7 @@ def evaluate_statistics(
     counts1=None,
 ) -> StatisticValues:
     """All raw and standardized statistics for one labeling, both summaries."""
-    if mset is None:
-        mset = moments(table, c0)
-    counts = extended_counts(table, c0, counts1)
-    p = mset.pooled_weight
-    zw = weighted_statistic(counts, mset)
-    zd = difference_statistic(counts, mset)
-    z0 = edge_statistic(counts, mset)
-    per_summary = {}
-    for name in SUMMARIES:
-        triple = counts.summary(name)
-        per_summary[name] = SummaryStatistics(
-            between=triple.between,
-            within1=triple.within1,
-            within2=triple.within2,
-            weighted=(1.0 - p) * triple.within1 + p * triple.within2,
-            difference=triple.within1 - triple.within2,
-            edge_z=z0[name][1],
-            weighted_z=zw[name][1],
-            difference_z=zd[name][1],
-            generalized=zw[name][1] ** 2 + zd[name][1] ** 2,
-            max_stats={
-                kappa: max(kappa * zw[name][1], abs(zd[name][1])) for kappa in kappas
-            },
-        )
-    return StatisticValues(average=per_summary["average"], union=per_summary["union"])
+    return StatisticKernel(table, c0, mset, kappas).evaluate_one(_resolve_counts1(table, counts1))
 
 
 def pergraph_statistics(
@@ -647,59 +566,13 @@ def pergraph_statistics(
 ) -> tuple[SummaryStatistics, SummaryMoments]:
     """Statistics of a single explicit observation-level graph.
 
-    Counts come from a direct edge scan; moments from the fixed-graph
-    shapes, which depend on the graph only through its size and per-node
-    incident counts. This is the path that shows how much the statistics
-    move across different equally-minimal trees of a tied distance matrix.
+    A fixed graph is the all-multiplicities-one table, whose union graph is
+    the graph itself: the statistics and moments are that table's union
+    block, so they depend on the graph only through its edges and degrees.
+    This is the path that shows how much the statistics move across
+    different equally-minimal trees of a tied distance matrix.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or labels.size != graph.n_nodes:
-        raise InputFormatError("need exactly one label per graph node")
-    if not np.isin(labels, (1, 2)).all():
-        raise InputFormatError("sample labels must be 1 or 2")
-    n1 = int((labels == 1).sum())
-    n2 = int((labels == 2).sum())
-    if n1 + n2 < 4:
-        raise ValueError("need at least 4 observations for null moments")
-    ea = graph.edge_array
-    first = labels[ea[:, 0]] if ea.shape[0] else np.empty(0, dtype=np.int64)
-    second = labels[ea[:, 1]] if ea.shape[0] else np.empty(0, dtype=np.int64)
-    within1 = float(((first == 1) & (second == 1)).sum())
-    within2 = float(((first == 2) & (second == 2)).sum())
-    between = float((first != second).sum())
-
-    deg = graph.degrees.astype(np.float64)
-    consts = NullConstants.from_sizes(n1, n2)
-    moms = _union_shape_moments(
-        float(graph.n_edges),
-        float((deg * (deg - 1.0)).sum()),
-        float((deg * deg).sum()),
-        n1,
-        n2,
-        consts,
-    )
-    bad = moms.degenerate_statistics()
-    if bad:
-        raise DegenerateNullError(
-            f"null variance of {bad[0]} is zero on this graph; "
-            "the permutation distribution is degenerate"
-        )
-    p = (n1 - 1) / (n1 + n2 - 2)
-    weighted = (1.0 - p) * within1 + p * within2
-    difference = within1 - within2
-    edge_z = _zscore(between, moms.mean_between, moms.var_between, "edge")
-    weighted_z = _zscore(weighted, moms.mean_weighted, moms.var_weighted, "weighted")
-    difference_z = _zscore(difference, moms.mean_difference, moms.var_difference, "difference")
-    stats = SummaryStatistics(
-        between=between,
-        within1=within1,
-        within2=within2,
-        weighted=weighted,
-        difference=difference,
-        edge_z=edge_z,
-        weighted_z=weighted_z,
-        difference_z=difference_z,
-        generalized=weighted_z**2 + difference_z**2,
-        max_stats={kappa: max(kappa * weighted_z, abs(difference_z)) for kappa in kappas},
-    )
-    return stats, moms
+    table = DistinctTable(labels=labels, value_index=np.arange(labels.size), n_values=labels.size)
+    mset = moments(table, graph)
+    return evaluate_statistics(table, graph, mset, kappas).union, mset.union

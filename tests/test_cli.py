@@ -316,6 +316,15 @@ def test_cycle_graph_with_zero_difference_variance_exits_3(capsys, tmp_path):
     assert "degenerate null:" in err
 
 
+def test_non_finite_vector_coordinate_exits_2_with_file_and_line(capsys, tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("1,0.0,1.0\n1,1.0,1.0\n2,nan,1.0\n2,2.0,1.0\n")
+    code, _, err = run_cli(capsys, ["test", "--input", str(path), "--kind", "vector"])
+    assert code == 2
+    assert err.startswith("error:")
+    assert f"{path}:3:" in err
+
+
 def test_malformed_ranking_row_exits_2_with_file_and_line(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,1,2,3\n1,3,2,1\n2,1,2,2\n2,3,1,2\n")

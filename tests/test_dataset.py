@@ -126,6 +126,63 @@ def test_dedup_roundtrip_replication(spec):
     assert again.multiplicity.tolist() == table.multiplicity.tolist()
 
 
+def test_dedup_merges_negative_zero_into_zero():
+    table = deduplicate([[0.0, 1], [-0.0, 1], [1, 1], [2, 1]], [1, 2, 1, 2], kind="vector")
+    assert table.n_values == 3
+    assert table.value_index.tolist() == [0, 0, 1, 2]
+    assert not np.signbit(table.representatives).any()
+    assert pairwise_distances(table).values.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=2, max_size=2),
+        min_size=1,
+        max_size=8,
+    ),
+    st.data(),
+)
+def test_dedup_ignores_the_sign_of_zero(rows, data):
+    payloads = np.array(rows, dtype=np.float64)
+    flips = data.draw(
+        st.lists(st.booleans(), min_size=payloads.size, max_size=payloads.size)
+    )
+    flipped = payloads.copy().ravel()
+    flipped[np.array(flips) & (flipped == 0.0)] = -0.0
+    flipped = flipped.reshape(payloads.shape)
+    labels = [1 + i % 2 for i in range(len(rows))]
+    a = deduplicate(payloads, labels, kind="vector")
+    b = deduplicate(flipped, labels, kind="vector")
+    assert b.n_values == a.n_values
+    assert b.value_index.tolist() == a.value_index.tolist()
+    assert np.asarray(b.representatives).tobytes() == np.asarray(a.representatives).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["vector", "ranking"])
+def test_dedup_rejects_non_finite_coordinates_with_the_observation_index(bad, kind):
+    payloads = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, bad]])
+    with pytest.raises(InputFormatError, match="observation 2 "):
+        deduplicate(payloads, [1, 2, 1], kind=kind)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "infinity"])
+def test_non_finite_fields_report_file_and_line(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,0.5,1.0\n2,{cell},1.0\n1,2.0,3.0\n")
+    with pytest.raises(InputFormatError, match="NaN or infinite") as err:
+        read_observations(path, kind="vector")
+    assert f"{path}:2:" in str(err.value)
+    matrix = tmp_path / "dist.csv"
+    matrix.write_text(f"0,1\n{cell},0\n")
+    assign = tmp_path / "assign.csv"
+    assign.write_text("1,1\n2,2\n")
+    with pytest.raises(InputFormatError) as err:
+        read_distance_input(matrix, assign)
+    assert f"{matrix}:2:" in str(err.value)
+
+
 # --- scalar distances ------------------------------------------------------
 
 

@@ -25,8 +25,10 @@ from edgecount.graphs import (
     materialize_union_graph,
 )
 from edgecount.oracle import (
+    _scan_counts,
     average_over_family,
     enumerate_permutations,
+    generalized_statistic_quadratic,
     random_tied_matrix,
     union_counts_direct,
 )
@@ -34,14 +36,11 @@ from edgecount.stats import (
     SUMMARIES,
     StatisticKernel,
     WithinForms,
-    edge_statistic,
     evaluate_statistics,
     extended_counts,
-    generalized_statistic,
-    generalized_statistic_quadratic,
-    max_statistic,
     mixture_variance,
     moments,
+    pergraph_statistics,
 )
 
 from conftest import (
@@ -174,8 +173,6 @@ def test_moments_match_exhaustive_null_on_five_value_instance(five_value_table):
 def test_union_moments_equal_fixed_graph_moments_of_materialized_union(
     five_value_table,
 ):
-    from edgecount.stats import pergraph_statistics
-
     c0 = five_value_graph()
     union = materialize_union_graph(c0, five_value_table)
     stats, moms = pergraph_statistics(
@@ -275,14 +272,13 @@ def test_generalized_decomposition_matches_quadratic_form():
         except DegenerateNullError:
             continue
         counts = extended_counts(table, c0)
-        direct = generalized_statistic(counts, mset)
         quad = generalized_statistic_quadratic(counts, mset)
         stats = evaluate_statistics(table, c0, mset=mset)
         for name in SUMMARIES:
-            assert direct[name] == pytest.approx(quad[name], rel=1e-8, abs=1e-8)
-            assert direct[name] == pytest.approx(
-                stats.summary(name).generalized, rel=1e-12
-            )
+            s = stats.summary(name)
+            direct = s.weighted_z**2 + s.difference_z**2
+            assert direct == pytest.approx(quad[name], rel=1e-8, abs=1e-8)
+            assert direct == pytest.approx(s.generalized, rel=1e-12)
 
 
 def test_pooled_weight_minimizes_mixture_variance(five_value_table):
@@ -302,27 +298,26 @@ def test_pooled_weight_minimizes_mixture_variance(five_value_table):
 def test_max_statistic_requires_positive_kappa(five_value_table):
     c0 = five_value_graph()
     mset = moments(five_value_table, c0)
-    counts = extended_counts(five_value_table, c0)
     with pytest.raises(InputFormatError):
-        max_statistic(counts, mset, 0.0)
+        evaluate_statistics(five_value_table, c0, mset=mset, kappas=(0.0,))
     with pytest.raises(InputFormatError):
         StatisticKernel(five_value_table, c0, kappas=(-1.0,))
-    got = max_statistic(counts, mset, 1.31)
     stats = evaluate_statistics(five_value_table, c0, mset=mset, kappas=(1.31,))
     for name in SUMMARIES:
-        assert got[name] == stats.summary(name).max_stats[1.31]
+        s = stats.summary(name)
+        assert max(1.31 * s.weighted_z, abs(s.difference_z)) == s.max_stats[1.31]
 
 
 def test_edge_statistic_counts_cross_sample_pairs(five_value_table):
     c0 = five_value_graph()
     mset = moments(five_value_table, c0)
     counts = extended_counts(five_value_table, c0)
-    got = edge_statistic(counts, mset)
-    assert got["union"][0] == counts.union.between
+    got = evaluate_statistics(five_value_table, c0, mset=mset).union
+    assert got.between == counts.union.between
     # complement route: z-score from within counts gives the same value
     moms = mset.union
     direct_z = (counts.union.between - moms.mean_between) / np.sqrt(moms.var_between)
-    assert got["union"][1] == pytest.approx(direct_z, rel=1e-12)
+    assert got.edge_z == pytest.approx(direct_z, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +356,7 @@ def test_kernel_batch_matches_scalar_evaluator(five_value_table):
                 s.generalized, rel=1e-10, abs=1e-12
             )
             for kappa in kappas:
-                assert out[name]["max"][kappa][b] == pytest.approx(
+                assert out[name]["max_stats"][kappa][b] == pytest.approx(
                     s.max_stats[kappa], rel=1e-10, abs=1e-12
                 )
 
@@ -436,8 +431,6 @@ def test_kernel_rejects_wrong_shapes(five_value_table):
 
 
 def test_pergraph_equals_both_summaries_when_no_value_repeats():
-    from edgecount.stats import pergraph_statistics
-
     rng = np.random.default_rng(404)
     k = 6
     vals = rng.permutation(k * (k - 1) // 2).astype(np.float64) + 1
@@ -458,9 +451,46 @@ def test_pergraph_equals_both_summaries_when_no_value_repeats():
     assert moms.var_weighted == pytest.approx(mset.union.var_weighted, rel=1e-12)
 
 
-def test_pergraph_counts_average_to_closed_form_over_the_family():
-    from edgecount.stats import pergraph_statistics
+def test_pergraph_statistics_match_an_edge_scan_and_the_exhaustive_null():
+    rng = np.random.default_rng(406)
+    checked = 0
+    for _ in range(30):
+        n = int(rng.integers(4, 11))
+        n1 = int(rng.integers(2, n - 1))
+        labels = rng.permutation(np.repeat([1, 2], [n1, n - n1]))
+        graph = build_knnl(random_tied_matrix(rng, n), int(rng.integers(1, 3)))
+        try:
+            stats, moms = pergraph_statistics(graph, labels)
+        except DegenerateNullError:
+            continue
+        checked += 1
+        between, within1, within2 = _scan_counts(graph.edges, labels)
+        assert (stats.between, stats.within1, stats.within2) == (between, within1, within2)
+        table = DistinctTable(labels=labels, value_index=np.arange(n), n_values=n)
+        null = enumerate_permutations(table, graph)
+        w1 = lambda r: r["within1_union"]
+        w2 = lambda r: r["within2_union"]
+        p_hat = Fraction(n1 - 1, n - 2)
+        wt = lambda r: (1 - p_hat) * w1(r) + p_hat * w2(r)
+        df = lambda r: w1(r) - w2(r)
+        for got, exact in (
+            (moms.mean_within1, null.mean(w1)),
+            (moms.var_within1, null.variance(w1)),
+            (moms.mean_within2, null.mean(w2)),
+            (moms.var_within2, null.variance(w2)),
+            (moms.cov_within, null.covariance(w1, w2)),
+            (moms.mean_between, null.mean(lambda r: r["between_union"])),
+            (moms.var_between, null.variance(lambda r: r["between_union"])),
+            (moms.mean_weighted, null.mean(wt)),
+            (moms.var_weighted, null.variance(wt)),
+            (moms.mean_difference, null.mean(df)),
+            (moms.var_difference, null.variance(df)),
+        ):
+            assert got == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
+    assert checked >= 20
 
+
+def test_pergraph_counts_average_to_closed_form_over_the_family():
     table = table_from_counts((2, 1), (3, 2))
     c0 = SimilarityGraph.from_edges(2, [(0, 1)])
     counts = extended_counts(table, c0)
@@ -479,8 +509,6 @@ def test_pergraph_counts_average_to_closed_form_over_the_family():
 
 
 def test_pergraph_statistics_vary_across_family_members(five_value_table):
-    from edgecount.stats import pergraph_statistics
-
     c0 = five_value_graph()
     seen = set()
     members = enumerate_graph_family(c0, five_value_table, cap=3 * 10**6)
@@ -496,8 +524,6 @@ def test_pergraph_statistics_vary_across_family_members(five_value_table):
 
 
 def test_pergraph_validates_labels(five_value_table):
-    from edgecount.stats import pergraph_statistics
-
     g = path_graph(5)
     with pytest.raises(InputFormatError):
         pergraph_statistics(g, [1, 2, 1])
