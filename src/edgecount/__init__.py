@@ -39,7 +39,6 @@ from .graphs import (
     build_nnl,
     count_graph_family,
     enumerate_graph_family,
-    materialize_union_graph,
     read_graph,
     union_graph_summary,
     write_graph,
@@ -57,6 +56,7 @@ from .inference import (
     pvalue_analytic,
     solve_kappa,
 )
+from .oracle import materialize_union_graph
 from .simulate import (
     BUILTIN_SCENARIOS,
     GeneratorSpec,

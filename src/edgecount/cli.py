@@ -13,7 +13,6 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,10 +31,9 @@ from .errors import (
     InputFormatError,
     VerificationError,
 )
-from .graphs import build_kmst, build_knnl, build_nnl, count_graph_family, read_graph, write_graph
+from .graphs import build_kmst, build_knnl, count_graph_family, write_graph
 from .inference import DEFAULT_KAPPAS, analyze, analyze_fixed_graph, condition_diagnostics
 from .simulate import BUILTIN_SCENARIOS, built_in_scenario, parse_scenario_file, run_scenario
-from .stats import moments
 
 
 def _default_threads() -> int:
@@ -208,111 +206,19 @@ def cmd_power(args) -> int:
     return 0
 
 
-def _rel_close(a: float, b: float, tol: float = 1e-10) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def _verify_counts(rng: np.random.Generator, instances: int, failures: list[str]) -> None:
-    from .stats import extended_counts
-
-    done = 0
-    while done < instances:
-        table, c0 = oracle.random_instance(rng, max_values=4, max_multiplicity=3)
-        if count_graph_family(c0, table) > 2000:
-            continue
-        done += 1
-        got = extended_counts(table, c0)
-        avg = oracle.average_over_family(table, c0, cap=2000)
-        union = oracle.union_counts_direct(table, c0)
-        for name, have, want in (
-            ("between (average)", got.average.between, avg[0]),
-            ("within1 (average)", got.average.within1, avg[1]),
-            ("within2 (average)", got.average.within2, avg[2]),
-            ("between (union)", got.union.between, union[0]),
-            ("within1 (union)", got.union.within1, union[1]),
-            ("within2 (union)", got.union.within2, union[2]),
-        ):
-            if not _rel_close(have, float(want)):
-                failures.append(
-                    f"count {name}: closed={have} oracle={float(want)} "
-                    f"instance={_instance_json(table, c0)}"
-                )
-
-
-def _verify_moments(rng: np.random.Generator, instances: int, max_n: int, failures: list[str]) -> None:
-    done = 0
-    while done < instances:
-        table, c0 = oracle.random_instance(rng, max_values=4, max_multiplicity=3)
-        if table.n_total > max_n:
-            continue
-        done += 1
-        null = oracle.enumerate_permutations(table, c0)
-        mset = moments(table, c0, require_nondegenerate=False)
-        phat = Fraction(table.n1 - 1, table.n_total - 2)
-        for name in ("average", "union"):
-            moms = mset.summary(name)
-            w1 = lambda row: row[f"within1_{name}"]
-            w2 = lambda row: row[f"within2_{name}"]
-            rw = lambda row: (1 - phat) * row[f"within1_{name}"] + phat * row[f"within2_{name}"]
-            rd = lambda row: row[f"within1_{name}"] - row[f"within2_{name}"]
-            checks = (
-                (f"E within1 ({name})", moms.mean_within1, null.mean(w1)),
-                (f"Var within1 ({name})", moms.var_within1, null.variance(w1)),
-                (f"E within2 ({name})", moms.mean_within2, null.mean(w2)),
-                (f"Var within2 ({name})", moms.var_within2, null.variance(w2)),
-                (f"Cov ({name})", moms.cov_within, null.covariance(w1, w2)),
-                (f"E weighted ({name})", moms.mean_weighted, null.mean(rw)),
-                (f"Var weighted ({name})", moms.var_weighted, null.variance(rw)),
-                (f"E difference ({name})", moms.mean_difference, null.mean(rd)),
-                (f"Var difference ({name})", moms.var_difference, null.variance(rd)),
-            )
-            for label, have, want in checks:
-                if not _rel_close(have, float(want)):
-                    failures.append(
-                        f"moment {label}: closed={have} oracle={float(want)} "
-                        f"instance={_instance_json(table, c0)}"
-                    )
-
-
-def _verify_nnl(rng: np.random.Generator, instances: int, failures: list[str]) -> None:
-    for _ in range(instances):
-        k = int(rng.integers(3, 7))
-        d = oracle.random_tied_matrix(rng, k)
-        nnl = build_nnl(d)
-        union = oracle.mst_union(oracle.all_msts(d))
-        if tuple(nnl.edges) != union:
-            failures.append(
-                f"nnl {sorted(nnl.edges)} != union-of-MSTs {sorted(union)} "
-                f"for distances {d.tolist()}"
-            )
-
-
-def _instance_json(table, c0) -> str:
-    return json.dumps(
-        {
-            "labels": table.labels.tolist(),
-            "value_index": table.value_index.tolist(),
-            "edges": [list(e) for e in c0.edges],
-        },
-        sort_keys=True,
-    )
-
-
 def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
-    failures: list[str] = []
-    _verify_counts(rng, args.instances, failures)
-    count_fails = len(failures)
-    print(f"counts vs enumerated family/union: {'FAIL' if count_fails else 'PASS'} "
+    failures = oracle.verify_counts(rng, args.instances)
+    print(f"counts vs enumerated family/union: {'FAIL' if failures else 'PASS'} "
           f"({args.instances} instances)")
-    _verify_moments(rng, args.instances, args.max_n, failures)
-    moment_fails = len(failures) - count_fails
-    print(f"moments vs exhaustive permutations: {'FAIL' if moment_fails else 'PASS'} "
+    found = oracle.verify_moments(rng, args.instances, args.max_n)
+    print(f"moments vs exhaustive permutations: {'FAIL' if found else 'PASS'} "
           f"({args.instances} instances, N <= {args.max_n})")
-    before = len(failures)
-    _verify_nnl(rng, args.instances, failures)
-    print(f"nnl vs union of all MSTs: {'FAIL' if len(failures) - before else 'PASS'} "
+    failures += found
+    found = oracle.verify_nnl(rng, args.instances)
+    print(f"nnl vs union of all MSTs: {'FAIL' if found else 'PASS'} "
           f"({args.instances} instances)")
+    failures += found
     if failures:
         raise VerificationError("\n".join(failures[:5]))
     return 0

@@ -126,18 +126,19 @@ def _canonical_payloads(payloads, kind: str) -> np.ndarray:
     if kind == "ranking":
         if arr.ndim != 2:
             raise InputFormatError("ranking payloads must form an (N, n_obj) array")
-        arr = arr.astype(np.int64)
-        expected = np.arange(1, arr.shape[1] + 1)
-        if not (np.sort(arr, axis=1) == expected).all():
-            bad = int(np.nonzero((np.sort(arr, axis=1) != expected).any(axis=1))[0][0])
-            raise InputFormatError(f"observation {bad} is not a permutation of 1..{arr.shape[1]}")
-        return arr
+        # Validated before the integer cast, so 1.5 is rejected, not truncated.
+        bad = np.nonzero((np.sort(arr, axis=1) != np.arange(1, arr.shape[1] + 1)).any(axis=1))[0]
+        if bad.size:
+            raise InputFormatError(
+                f"observation {int(bad[0])} is not a permutation of 1..{arr.shape[1]}"
+            )
+        return arr.astype(np.int64)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise InputFormatError("network payloads must form an (N, n, n) array")
-    arr = arr.astype(np.int64)
-    if not np.isin(arr, (0, 1)).all():
-        raise InputFormatError("adjacency matrices must be binary")
-    return arr
+    bad = np.nonzero(~np.isin(arr, (0, 1)).reshape(arr.shape[0], -1).all(axis=1))[0]
+    if bad.size:
+        raise InputFormatError(f"observation {int(bad[0])} is not a binary adjacency matrix")
+    return arr.astype(np.int64)
 
 
 def deduplicate(payloads, labels, kind: str = "vector") -> DistinctTable:
@@ -274,12 +275,20 @@ def distance_euclidean(a, b) -> float:
     return float(np.sqrt(((a - b) ** 2).sum()))
 
 
-def _pairwise_sq_gram(x: np.ndarray) -> np.ndarray:
-    # Integer-valued inputs keep this exact: every product stays below 2**53.
-    sq = (x * x).sum(axis=1)
-    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d, 0.0)
-    return np.maximum(d, 0.0)
+def _pairwise_sum(x: np.ndarray, elementwise) -> np.ndarray:
+    """Pairwise sums over coordinates of elementwise(x_i - x_j).
+
+    Each entry adds up its own coordinate differences in the same order, so
+    equal gaps give bit-equal distances and the matrix is exactly symmetric.
+    The Gram expansion |x|^2 + |y|^2 - 2 x.y cancels and splits such ties
+    between float vectors.
+    """
+    out = np.zeros((x.shape[0], x.shape[0]))
+    gap = np.empty_like(out)
+    for col in x.T:
+        np.subtract.outer(col, col, out=gap)
+        out += elementwise(gap, out=gap)
+    return out
 
 
 def _pairwise_kendall(ranks: np.ndarray) -> np.ndarray:
@@ -291,14 +300,6 @@ def _pairwise_kendall(ranks: np.ndarray) -> np.ndarray:
     d = (n_pairs - concordant_minus_discordant) / 2
     np.fill_diagonal(d, 0.0)
     return d
-
-
-def _pairwise_footrule(ranks: np.ndarray) -> np.ndarray:
-    k = ranks.shape[0]
-    out = np.zeros((k, k))
-    for i in range(k):
-        out[i] = np.abs(ranks - ranks[i]).sum(axis=1)
-    return out
 
 
 def pairwise_distances(
@@ -319,11 +320,11 @@ def pairwise_distances(
     reps = np.asarray(table.representatives, dtype=np.float64)
     flat = reps.reshape(reps.shape[0], -1)
     if metric in ("frobenius", "spearman"):
-        values = np.rint(_pairwise_sq_gram(flat)).astype(np.int64)
+        values = _pairwise_sum(flat, np.square).astype(np.int64)
     elif metric == "euclidean":
-        values = np.sqrt(_pairwise_sq_gram(flat))
+        values = np.sqrt(_pairwise_sum(flat, np.square))
     elif metric == "footrule":
-        values = _pairwise_footrule(flat).astype(np.int64)
+        values = _pairwise_sum(flat, np.abs).astype(np.int64)
     elif metric == "kendall":
         values = np.rint(_pairwise_kendall(flat)).astype(np.int64)
     else:

@@ -7,8 +7,8 @@ the K distinct values induces a family of observation-level graphs (one
 observation-pair choice per C0 edge crossed with one spanning tree per
 within-value clique); statistics either average over that family in closed
 form or evaluate on its edge union. This module computes everything the
-statistics need from C0: degrees, neighbor sets, union-graph sizes, and the
-family cardinality.
+statistics need from C0: degrees, union-graph sizes, and the family
+cardinality.
 """
 
 from __future__ import annotations
@@ -83,29 +83,6 @@ class SimilarityGraph:
         deg = np.bincount(self.edge_array.ravel(), minlength=self.n_nodes)
         deg.setflags(write=False)
         return deg
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def second_order_counts(self) -> np.ndarray:
-        """Per node u: number of edges with at least one endpoint adjacent to u."""
-        adj = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
-        ea = self.edge_array
-        if ea.shape[0]:
-            adj[ea[:, 0], ea[:, 1]] = True
-            adj[ea[:, 1], ea[:, 0]] = True
-            counts = (adj[:, ea[:, 0]] | adj[:, ea[:, 1]]).sum(axis=1)
-        else:
-            counts = np.zeros(self.n_nodes, dtype=np.int64)
-        counts = counts.astype(np.int64)
-        counts.setflags(write=False)
-        return counts
 
     def is_connected(self) -> bool:
         ds = _DisjointSet(self.n_nodes)
@@ -283,27 +260,6 @@ def union_graph_summary(c0: SimilarityGraph, table: DistinctTable) -> UnionGraph
         np.add.at(neighbor_mass, ea[:, 1], m[ea[:, 0]])
     per_value = m - 1 + neighbor_mass
     return UnionGraphSummary(size=size, incident=per_value[table.value_index])
-
-
-def materialize_union_graph(c0: SimilarityGraph, table: DistinctTable) -> SimilarityGraph:
-    """The union graph as an explicit observation-level graph.
-
-    Within each distinct value the observations form a clique; each C0 edge
-    contributes the complete bipartite join of the two observation blocks.
-    """
-    if c0.n_nodes != table.n_values:
-        raise InputFormatError("graph and table disagree on the number of distinct values")
-    members = [np.nonzero(table.value_index == u)[0] for u in range(table.n_values)]
-    edges = []
-    for obs in members:
-        for a in range(len(obs)):
-            for b in range(a + 1, len(obs)):
-                edges.append((int(obs[a]), int(obs[b])))
-    for u, v in c0.edges:
-        for a in members[u]:
-            for b in members[v]:
-                edges.append((int(a), int(b)))
-    return SimilarityGraph.from_edges(table.n_total, edges)
 
 
 def count_graph_family(c0: SimilarityGraph, table: DistinctTable) -> int:

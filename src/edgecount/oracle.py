@@ -1,13 +1,15 @@
-"""Independent brute-force reference implementations, used only by tests.
+"""Independent brute-force reference implementations, for the tests and ``edgecount verify``.
 
 Everything here favors transparency over speed and exact rational
 arithmetic over floating point, so closed-form-vs-oracle comparisons have a
-single tolerance source (the closed-form side). None of these functions
-share arithmetic with the closed-form statistic paths.
+single tolerance source (the closed-form side). None of the oracles share
+arithmetic with the closed-form statistic paths; the ``verify_*`` checks at
+the end run both sides on random instances.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,8 +19,8 @@ import numpy as np
 
 from .dataset import DistanceMatrix, DistinctTable
 from .errors import DegenerateNullError, FamilyTooLargeError, InputFormatError
-from .graphs import SimilarityGraph, enumerate_graph_family, materialize_union_graph
-from .stats import SUMMARIES, ExtendedCounts, MomentSet
+from .graphs import SimilarityGraph, build_nnl, count_graph_family, enumerate_graph_family
+from .stats import SUMMARIES, ExtendedCounts, MomentSet, extended_counts, moments
 
 
 def enumerate_count_vectors(multiplicity, n1: int):
@@ -160,6 +162,27 @@ def average_over_family(
             sums[i] += triple[i]
         count += 1
     return tuple(Fraction(s, count) for s in sums)
+
+
+def materialize_union_graph(c0: SimilarityGraph, table: DistinctTable) -> SimilarityGraph:
+    """The union graph as an explicit observation-level graph.
+
+    Within each distinct value the observations form a clique; each C0 edge
+    contributes the complete bipartite join of the two observation blocks.
+    """
+    if c0.n_nodes != table.n_values:
+        raise InputFormatError("graph and table disagree on the number of distinct values")
+    members = [np.nonzero(table.value_index == u)[0] for u in range(table.n_values)]
+    edges = []
+    for obs in members:
+        for a in range(len(obs)):
+            for b in range(a + 1, len(obs)):
+                edges.append((int(obs[a]), int(obs[b])))
+    for u, v in c0.edges:
+        for a in members[u]:
+            for b in members[v]:
+                edges.append((int(a), int(b)))
+    return SimilarityGraph.from_edges(table.n_total, edges)
 
 
 def union_counts_direct(
@@ -307,10 +330,15 @@ def random_instance(
 ) -> tuple[DistinctTable, SimilarityGraph]:
     """A random distinct-value table plus a random connected graph on it.
 
-    ``interior_split`` forces 2 <= n1 <= N - 2 so all null constants are
-    meaningfully nonzero.
+    The table has at least two values and N >= 4 observations; the fewest
+    values that can reach N = 4 is the lower bound of the draw, so every
+    redraw of the multiplicities can succeed. ``interior_split`` forces
+    2 <= n1 <= N - 2 so all null constants are meaningfully nonzero.
     """
-    k = int(rng.integers(2, max_values + 1))
+    min_values = max(2, -(-4 // max(max_multiplicity, 1)))
+    if max_multiplicity < 1 or max_values < min_values:
+        raise InputFormatError("the bounds cannot give two values and four observations")
+    k = int(rng.integers(min_values, max_values + 1))
     while True:
         m = rng.integers(1, max_multiplicity + 1, size=k)
         if m.sum() >= 4:
@@ -340,3 +368,98 @@ def random_instance(
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return table, SimilarityGraph.from_edges(k, edges)
+
+
+# --- closed forms against the oracles (``edgecount verify``) --------------
+
+
+def _rel_close(a: float, b: float, tol: float = 1e-10) -> bool:
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def _mismatches(kind: str, checks, table, c0) -> list[str]:
+    """One failure line per (label, closed form, oracle) triple that disagrees."""
+    instance = json.dumps(
+        {
+            "labels": table.labels.tolist(),
+            "value_index": table.value_index.tolist(),
+            "edges": [list(e) for e in c0.edges],
+        },
+        sort_keys=True,
+    )
+    return [
+        f"{kind} {label}: closed={have} oracle={float(want)} instance={instance}"
+        for label, have, want in checks
+        if not _rel_close(have, float(want))
+    ]
+
+
+def _accepted_instances(rng: np.random.Generator, count: int, accept):
+    """Yield the first ``count`` random instances that ``accept`` admits."""
+    done = 0
+    while done < count:
+        table, c0 = random_instance(rng, max_values=4, max_multiplicity=3)
+        if accept(table, c0):
+            done += 1
+            yield table, c0
+
+
+def verify_counts(rng: np.random.Generator, instances: int) -> list[str]:
+    """Closed-form counts against the enumerated family and the union graph."""
+    failures = []
+    small_family = lambda table, c0: count_graph_family(c0, table) <= 2000
+    for table, c0 in _accepted_instances(rng, instances, small_family):
+        got = extended_counts(table, c0)
+        for name, want in (
+            ("average", average_over_family(table, c0, cap=2000)),
+            ("union", union_counts_direct(table, c0)),
+        ):
+            have = got.summary(name)
+            failures += _mismatches("count", (
+                (f"between ({name})", have.between, want[0]),
+                (f"within1 ({name})", have.within1, want[1]),
+                (f"within2 ({name})", have.within2, want[2]),
+            ), table, c0)
+    return failures
+
+
+def verify_moments(rng: np.random.Generator, instances: int, max_n: int) -> list[str]:
+    """Closed-form null moments against exhaustive permutations (N <= max_n)."""
+    failures = []
+    for table, c0 in _accepted_instances(rng, instances, lambda table, c0: table.n_total <= max_n):
+        null = enumerate_permutations(table, c0)
+        mset = moments(table, c0, require_nondegenerate=False)
+        phat = Fraction(table.n1 - 1, table.n_total - 2)
+        for name in SUMMARIES:
+            moms = mset.summary(name)
+            w1 = lambda row: row[f"within1_{name}"]
+            w2 = lambda row: row[f"within2_{name}"]
+            rw = lambda row: (1 - phat) * w1(row) + phat * w2(row)
+            rd = lambda row: w1(row) - w2(row)
+            failures += _mismatches("moment", (
+                (f"E within1 ({name})", moms.mean_within1, null.mean(w1)),
+                (f"Var within1 ({name})", moms.var_within1, null.variance(w1)),
+                (f"E within2 ({name})", moms.mean_within2, null.mean(w2)),
+                (f"Var within2 ({name})", moms.var_within2, null.variance(w2)),
+                (f"Cov ({name})", moms.cov_within, null.covariance(w1, w2)),
+                (f"E weighted ({name})", moms.mean_weighted, null.mean(rw)),
+                (f"Var weighted ({name})", moms.var_weighted, null.variance(rw)),
+                (f"E difference ({name})", moms.mean_difference, null.mean(rd)),
+                (f"Var difference ({name})", moms.var_difference, null.variance(rd)),
+            ), table, c0)
+    return failures
+
+
+def verify_nnl(rng: np.random.Generator, instances: int) -> list[str]:
+    """The NNL against the union of all minimum spanning trees."""
+    failures = []
+    for _ in range(instances):
+        d = random_tied_matrix(rng, int(rng.integers(3, 7)))
+        nnl = build_nnl(d)
+        union = mst_union(all_msts(d))
+        if tuple(nnl.edges) != union:
+            failures.append(
+                f"nnl {sorted(nnl.edges)} != union-of-MSTs {sorted(union)} "
+                f"for distances {d.tolist()}"
+            )
+    return failures

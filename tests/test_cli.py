@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-import edgecount.cli as cli
+from edgecount import oracle
 from edgecount.cli import main
 from edgecount.graphs import read_graph
 from edgecount.simulate import MallowsModel, sample_mallows, statistic_keys
@@ -483,7 +483,7 @@ def test_verify_catches_an_injected_moment_error(capsys, monkeypatch):
         )
         return dataclasses.replace(mset, average=average)
 
-    monkeypatch.setattr(cli, "moments", skewed_moments)
+    monkeypatch.setattr(oracle, "moments", skewed_moments)
     code, out, err = run_cli(capsys, [
         "verify", "--instances", "2", "--max-n", "8", "--seed", "1",
     ])

@@ -11,6 +11,7 @@ from edgecount import (
     DistanceMatrix,
     DistinctTable,
     InputFormatError,
+    build_nnl,
     deduplicate,
     distance_euclidean,
     distance_footrule,
@@ -165,6 +166,18 @@ def test_dedup_rejects_non_finite_coordinates_with_the_observation_index(bad, ki
     payloads = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, bad]])
     with pytest.raises(InputFormatError, match="observation 2 "):
         deduplicate(payloads, [1, 2, 1], kind=kind)
+
+
+@pytest.mark.parametrize(
+    "kind, payloads, index",
+    [
+        ("ranking", [[1.5, 2.0, 3.0], [2.0, 1.0, 3.0]], 0),
+        ("network", [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.5], [0.5, 0.0]]], 1),
+    ],
+)
+def test_dedup_rejects_non_integer_rankings_and_networks(kind, payloads, index):
+    with pytest.raises(InputFormatError, match=f"observation {index} is not a"):
+        deduplicate(np.array(payloads), [1, 2], kind=kind)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "infinity"])
@@ -339,6 +352,17 @@ def test_pairwise_distances_default_metric_by_kind():
     table = deduplicate(vecs, labels=[1, 2], kind="vector")
     mat = pairwise_distances(table)
     assert np.asarray(mat.values)[0, 1] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("side, shift", [(3, 0.0), (4, 12345.678)])
+def test_euclidean_distances_keep_the_ties_of_a_float_grid(side, shift):
+    # Every unit step of a square grid is a tied nearest link, so the NNL is
+    # the whole grid graph: 2 side (side - 1) edges.
+    coords = shift + 0.1 * np.array(
+        [(i, j) for i in range(side) for j in range(side)], dtype=np.float64
+    )
+    table = deduplicate(coords, labels=[1 + i % 2 for i in range(side * side)], kind="vector")
+    assert build_nnl(pairwise_distances(table)).n_edges == 2 * side * (side - 1)
 
 
 def test_expand_to_observations_places_zeros_between_repeats():

@@ -58,22 +58,6 @@ def test_degree_sum_is_twice_edge_count():
         assert int(g.degrees.sum()) == 2 * g.n_edges
 
 
-def test_second_order_counts_match_direct_recount():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        k = int(rng.integers(2, 9))
-        all_pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        take = rng.random(len(all_pairs)) < 0.5
-        edges = [p for p, t in zip(all_pairs, take) if t]
-        g = SimilarityGraph.from_edges(k, edges)
-        for u in range(k):
-            neighbors = {b for a, b in g.edges if a == u} | {
-                a for a, b in g.edges if b == u
-            }
-            direct = sum(1 for a, b in g.edges if a in neighbors or b in neighbors)
-            assert int(g.second_order_counts[u]) == direct
-
-
 # --- nearest-neighbor link ---------------------------------------------------
 
 

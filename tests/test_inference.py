@@ -21,12 +21,13 @@ from scipy.stats import chi2
 from edgecount import inference
 from edgecount.dataset import DistanceMatrix, DistinctTable
 from edgecount.errors import InputFormatError
-from edgecount.graphs import SimilarityGraph, build_nnl
+from edgecount.graphs import SimilarityGraph, build_knnl, build_nnl
 from edgecount.inference import (
     _PERM_CHUNK_BYTES,
     _PERM_MAX_ROWS,
     _chunk_rows,
     _sampler_method,
+    _third_moment_sum,
     analyze,
     analyze_fixed_graph,
     analytic_pvalue_block,
@@ -38,7 +39,7 @@ from edgecount.inference import (
     pvalue_analytic,
     solve_kappa,
 )
-from edgecount.oracle import enumerate_permutations
+from edgecount.oracle import enumerate_permutations, materialize_union_graph, random_tied_matrix
 from edgecount.stats import SUMMARIES, StatisticKernel, evaluate_statistics, moments
 
 from conftest import (
@@ -314,6 +315,70 @@ def test_permutation_pvalues_validation():
 
 # ---------------------------------------------------------------------------
 # Diagnostics
+
+
+def _second_order_sum_direct(edges, n_nodes):
+    """Sum over nodes of degree times the edges with an endpoint adjacent to the node."""
+    neighbors = [set() for _ in range(n_nodes)]
+    for a, b in edges:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    return sum(
+        len(near) * sum(1 for a, b in edges if a in near or b in near) for near in neighbors
+    )
+
+
+def test_third_moment_sum_without_repeats_matches_direct_recount():
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        k = int(rng.integers(2, 9))
+        all_pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        take = rng.random(len(all_pairs)) < 0.5
+        edges = [p for p, t in zip(all_pairs, take) if t]
+        g = SimilarityGraph.from_edges(k, edges)
+        assert _third_moment_sum(g, np.ones(k, dtype=np.int64)) == _second_order_sum_direct(
+            g.edges, k
+        )
+
+
+def test_diagnostic_ratios_match_a_direct_recount_on_the_union_graph():
+    rng = np.random.default_rng(7)
+    for case in range(120):
+        k_values = int(rng.integers(7, 11))
+        c0 = build_knnl(random_tied_matrix(rng, k_values), 1 + case % 3)
+        m = rng.integers(1, 5, size=k_values)
+        c1 = np.array([rng.integers(0, mu + 1) for mu in m])
+        if not 0 < c1.sum() < m.sum():
+            c1[0], c1[1] = 1, m[1] - 1
+        table = table_from_counts(tuple(c1), tuple(m))
+        n = table.n_total
+        union = materialize_union_graph(c0, table)
+        inc = np.bincount(np.asarray(union.edges).ravel(), minlength=n)
+        # Family-expected degree of each observation: a union edge between
+        # blocks u != v is the chosen pair with probability 1/(m_u m_v), and a
+        # within-block edge lies in a uniform spanning tree with probability 2/m_u.
+        mult = table.multiplicity[table.value_index]
+        expected = [Fraction(0)] * n
+        for a, b in union.edges:
+            same = table.value_index[a] == table.value_index[b]
+            p = Fraction(2, int(mult[a])) if same else Fraction(1, int(mult[a] * mult[b]))
+            expected[a] += p
+            expected[b] += p
+        centre = sum(expected) / n
+        want = {
+            "graph_size_ratio": c0.n_edges / n,
+            "distinct_value_ratio": k_values / n,
+            "inverse_multiplicity_ratio": float(sum(Fraction(1, int(x)) for x in m)) / n,
+            "degree_variety_ratio": float(sum((e - centre) ** 2 for e in expected) / 4) / n,
+            "union_size_ratio": union.n_edges / n,
+            "union_variety_ratio": (int((inc * inc).sum()) - 4 * union.n_edges**2 / n) / n,
+            "third_moment_ratio_average": _second_order_sum_direct(c0.edges, k_values) / n**1.5,
+            "third_moment_ratio_union": _second_order_sum_direct(union.edges, n) / n**1.5,
+        }
+        got = condition_diagnostics(table, c0).ratios
+        assert set(got) == set(want)
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12), (case, key)
 
 
 def test_diagnostics_report_exactly_the_documented_ratios():

@@ -204,6 +204,20 @@ def test_random_tied_matrix_is_a_valid_distance_matrix():
     assert off.min() >= 1 and off.max() <= 4
 
 
+def test_random_instance_rejects_bounds_that_cannot_reach_four_observations():
+    with pytest.raises(InputFormatError):
+        random_instance(np.random.default_rng(0), max_values=3, max_multiplicity=1)
+
+
+def test_random_instance_with_single_observations_per_value():
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        table, c0 = random_instance(rng, max_values=5, max_multiplicity=1)
+        assert table.n_total >= 4
+        assert (table.multiplicity == 1).all()
+        assert c0.n_nodes == table.n_values
+
+
 def test_random_instance_is_consistent():
     rng = np.random.default_rng(31)
     for _ in range(20):

@@ -22,13 +22,13 @@ from edgecount.graphs import (
     build_knnl,
     build_nnl,
     enumerate_graph_family,
-    materialize_union_graph,
 )
 from edgecount.oracle import (
     _scan_counts,
     average_over_family,
     enumerate_permutations,
     generalized_statistic_quadratic,
+    materialize_union_graph,
     random_tied_matrix,
     union_counts_direct,
 )
