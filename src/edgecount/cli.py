@@ -144,6 +144,17 @@ def cmd_dedup(args) -> int:
     return 0
 
 
+_MAX_PRINTED_DIGITS = 4300  # Python's default limit on int-to-str conversion
+
+
+def _family_size_text(size: int) -> str:
+    """The exact family size, or past the str() limit its exact digit count."""
+    digits = max(1, int(size.bit_length() * math.log10(2)) - 1)  # a lower bound
+    while size >= 10 ** digits:
+        digits += 1
+    return str(size) if digits <= _MAX_PRINTED_DIGITS else f"{digits} decimal digits"
+
+
 def cmd_graph(args) -> int:
     dist, table = _load_instance(args)
     rule, k = _graph_rule(args)
@@ -166,7 +177,7 @@ def cmd_graph(args) -> int:
         f"graph rule: {rule_text}",
         f"edges: {c0.n_edges}",
         f"degree histogram: {histogram}",
-        f"graph family size: {count_graph_family(c0, table)}",
+        f"graph family size: {_family_size_text(count_graph_family(c0, table))}",
         "diagnostics:",
     ]
     lines += [f"  {key}: {value:.6g}" for key, value in diag.ratios.items()]
@@ -217,6 +228,10 @@ def cmd_verify(args) -> int:
     failures += found
     found = oracle.verify_nnl(rng, args.instances)
     print(f"nnl vs union of all MSTs: {'FAIL' if found else 'PASS'} "
+          f"({args.instances} instances)")
+    failures += found
+    found = oracle.verify_knnl(rng, args.instances)
+    print(f"knnl vs round-by-round recount: {'FAIL' if found else 'PASS'} "
           f"({args.instances} instances)")
     failures += found
     if failures:

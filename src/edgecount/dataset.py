@@ -202,8 +202,8 @@ class DistanceMatrix:
             raise InputFormatError("distance matrix must be symmetric")
         if arr.min() < 0:
             raise InputFormatError("distances must be nonnegative")
-        off = arr[~np.eye(arr.shape[0], dtype=bool)]
-        if off.size and off.min() <= self.tie_tolerance:
+        # the K diagonal zeros are <= tie_tolerance; any further hit is off-diagonal
+        if (arr <= self.tie_tolerance).sum() > arr.shape[0]:
             raise InputFormatError(
                 "distinct values at distance <= tie_tolerance; "
                 "deduplication and metric disagree"

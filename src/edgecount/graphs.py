@@ -1,9 +1,12 @@
 """Similarity graphs on distinct values and the induced observation-level family.
 
-The central construction is the nearest neighbor link (NNL): a Boruvka-style
-growth that keeps ALL tied minimal edges, so it is well-defined on distance
-matrices with ties, where "the" minimum spanning tree is not. A graph C0 on
-the K distinct values induces a family of observation-level graphs (one
+The central construction is the nearest neighbor link (NNL): the union of
+all minimum spanning trees, so it keeps ALL tied minimal edges and is
+well-defined on distance matrices with ties, where "the" minimum spanning
+tree is not. A pair is in the NNL when its weight is no more than the
+minimax path weight between its endpoints (within the tie tolerance), and
+one Prim growth gives every minimax path weight. A graph C0 on the K
+distinct values induces a family of observation-level graphs (one
 observation-pair choice per C0 edge crossed with one spanning tree per
 within-value clique); statistics either average over that family in closed
 form or evaluate on its edge union. This module computes everything the
@@ -55,15 +58,23 @@ class SimilarityGraph:
     def from_edges(cls, n_nodes: int, edges) -> "SimilarityGraph":
         if n_nodes <= 0:
             raise InputFormatError("graph needs at least one node")
-        canon = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise InputFormatError(f"self-loop at node {u}")
-            if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-                raise InputFormatError(f"edge ({u},{v}) outside 0..{n_nodes - 1}")
-            canon.add((min(u, v), max(u, v)))
-        return cls(n_nodes=n_nodes, edges=tuple(sorted(canon)))
+        pairs = np.asarray(
+            edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
+        )
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise InputFormatError("edges must be (u, v) pairs")
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        bad = (lo == hi) | (lo < 0) | (hi >= n_nodes)
+        if bad.any():
+            a, b = (int(x) for x in pairs[int(np.argmax(bad))])
+            if a == b:
+                raise InputFormatError(f"self-loop at node {a}")
+            raise InputFormatError(f"edge ({a},{b}) outside 0..{n_nodes - 1}")
+        lo, hi = np.divmod(np.unique(lo * n_nodes + hi), n_nodes)
+        return cls(n_nodes=n_nodes, edges=tuple(zip(lo.tolist(), hi.tolist())))
 
     @property
     def n_edges(self) -> int:
@@ -103,18 +114,77 @@ def _as_matrix(dist) -> tuple[np.ndarray, float]:
     return arr, 0.0
 
 
+def _admissible(dist) -> tuple[np.ndarray, float]:
+    """A float64 copy of the distances with inf on the diagonal and on
+    every non-finite pair, plus the tie tolerance."""
+    arr, tol = _as_matrix(dist)
+    if arr.shape[0] < 2:
+        raise InputFormatError("need at least two distinct values to build a graph")
+    work = np.where(np.isfinite(arr), arr, np.inf)
+    np.fill_diagonal(work, np.inf)
+    return work, tol
+
+
+def _minimax(work: np.ndarray) -> np.ndarray:
+    """Minimax path weights of the graph whose pair weights are ``work``.
+
+    B[u, v] is the least, over all paths from u to v through finite pairs,
+    of the heaviest pair on the path; it is inf between components. Every
+    minimum spanning forest holds a minimax path for every pair, so one
+    Prim growth gives all of B: when node t joins through parent p at
+    weight x, B[t, s] = max(B[p, s], x) for each node s already grown.
+    B is kept in insertion order, so that step fills one row and one
+    column slice, and is permuted back at the end. Only copies, max and
+    min touch the weights, so exact ties stay exact.
+    """
+    k = work.shape[0]
+    b = np.full((k, k), np.inf)
+    position = np.empty(k, dtype=np.intp)  # insertion position of each node
+    key = np.full(k, np.inf)  # lightest pair into the grown tree; inf once grown
+    parent = np.zeros(k, dtype=np.intp)
+    outside = np.ones(k, dtype=bool)
+    for i in range(k):
+        t = int(np.argmin(key))
+        x = key[t]
+        if x == np.inf:  # the grown part is a whole component: start another
+            t = int(np.argmax(outside))
+        position[t] = i
+        outside[t] = False
+        key[t] = np.inf
+        if x != np.inf:
+            p = position[parent[t]]
+            row = np.maximum(b[p, :i], x)
+            row[p] = x  # the pair (t, p) itself; b's diagonal stays inf
+            b[i, :i] = row
+            b[:i, i] = row
+        closer = outside & (work[t] < key)
+        key[closer] = work[t, closer]
+        parent[closer] = t
+    return b[np.ix_(position, position)]
+
+
+def _nnl_round(work: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (u < v, row-major order) of one NNL round on ``work``."""
+    b = _minimax(work)
+    keep = np.isfinite(work) & (b >= work - tol)
+    return np.nonzero(np.triu(keep, 1))
+
+
 def build_nnl(dist, excluded: np.ndarray | None = None) -> SimilarityGraph:
     """Nearest neighbor link graph of a symmetric dissimilarity matrix.
 
     The result contains exactly the pairs that occur in at least one minimum
-    spanning tree of the weighted complete graph on the distinct values — a
-    pair belongs to some minimum spanning tree precisely when its endpoints
-    lie in different components of the subgraph of strictly lighter pairs
-    (cycle property). The construction sweeps admissible pairs in ascending
-    distance order and keeps a pair whenever the union-find state built from
-    all pairs lighter by more than ``tie_tolerance`` leaves its endpoints
-    disconnected, so tied pairs never block one another and the result does
-    not depend on any processing order.
+    spanning tree of the weighted complete graph on the distinct values. By
+    the cycle property, a pair (u, v) of weight w belongs to some minimum
+    spanning tree precisely when no path of pairs lighter than w joins u
+    and v, that is, when the minimax path weight B(u, v) (the least, over
+    all paths, of the heaviest pair on the path) is at least w. Ties within
+    ``tie_tolerance`` count as equal: a pair is kept when B(u, v) >=
+    w - tie_tolerance, i.e. when pairs lighter by more than the tolerance
+    leave u and v disconnected. B is the same for every minimum spanning
+    tree and comes from one Prim growth, so tied pairs never block one
+    another and the result does not depend on any processing order. The
+    cost is O(K^2) time and a few K x K float64 arrays.
 
     ``excluded`` marks pairs treated as inadmissible, as are non-finite
     distances; that is how later rounds of multi-graph constructions drop
@@ -124,59 +194,34 @@ def build_nnl(dist, excluded: np.ndarray | None = None) -> SimilarityGraph:
     InfeasibleGraphError is raised. Without exclusions the result always
     contains a spanning tree and is therefore connected.
     """
-    work, tol = _as_matrix(dist)
-    k = work.shape[0]
-    if k < 2:
-        raise InputFormatError("need at least two distinct values to build a graph")
-    work = work.copy()
-    np.fill_diagonal(work, np.inf)
+    work, tol = _admissible(dist)
     if excluded is not None:
         work[excluded] = np.inf
-
-    iu, ju = np.triu_indices(k, 1)
-    weights = work[iu, ju]
-    finite = np.isfinite(weights)
-    if not finite.any():
+    us, vs = _nnl_round(work, tol)
+    if not us.size:
         raise InfeasibleGraphError("no admissible pair remains")
-    order = np.argsort(weights[finite], kind="stable")
-    us = iu[finite][order].tolist()
-    vs = ju[finite][order].tolist()
-    ws = weights[finite][order].tolist()
-
-    ds = _DisjointSet(k)
-    n_parts = k
-    merged = 0  # pairs [0, merged) folded into the strictly-lighter state
-    edges: list[tuple[int, int]] = []
-    for idx, w in enumerate(ws):
-        while ws[merged] < w - tol:
-            n_parts -= ds.union(us[merged], vs[merged])
-            merged += 1
-        if n_parts == 1:
-            break
-        if ds.find(us[idx]) != ds.find(vs[idx]):
-            edges.append((us[idx], vs[idx]))
-    return SimilarityGraph.from_edges(k, edges)
+    return SimilarityGraph.from_edges(work.shape[0], np.column_stack((us, vs)))
 
 
 def build_knnl(dist, k: int) -> SimilarityGraph:
-    """Union of the 1st..kth NNLs, each round excluding earlier rounds' edges."""
+    """Union of the 1st..kth NNLs, each round excluding earlier rounds' edges.
+
+    O(k * K^2) time for K distinct values; each round is one ``build_nnl``
+    step on a shared working copy of the distances.
+    """
     if k < 1:
         raise InputFormatError("k must be >= 1")
-    work, _ = _as_matrix(dist)
-    n = work.shape[0]
-    excluded = np.zeros((n, n), dtype=bool)
-    edges: set[tuple[int, int]] = set()
+    work, tol = _admissible(dist)
+    rounds = []
     for round_index in range(k):
-        try:
-            round_graph = build_nnl(dist, excluded=excluded)
-        except InfeasibleGraphError:
+        us, vs = _nnl_round(work, tol)
+        if not us.size:
             raise InfeasibleGraphError(
                 f"round {round_index + 1} of {k} has no admissible pair left"
-            ) from None
-        for u, v in round_graph.edges:
-            edges.add((u, v))
-            excluded[u, v] = excluded[v, u] = True
-    return SimilarityGraph.from_edges(n, edges)
+            )
+        work[us, vs] = work[vs, us] = np.inf
+        rounds.append(np.column_stack((us, vs)))
+    return SimilarityGraph.from_edges(work.shape[0], np.concatenate(rounds))
 
 
 def build_kmst(dist, k: int, seed: int) -> SimilarityGraph:

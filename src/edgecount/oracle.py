@@ -18,8 +18,19 @@ from itertools import combinations
 import numpy as np
 
 from .dataset import DistanceMatrix, DistinctTable
-from .errors import DegenerateNullError, FamilyTooLargeError, InputFormatError
-from .graphs import SimilarityGraph, build_nnl, count_graph_family, enumerate_graph_family
+from .errors import (
+    DegenerateNullError,
+    FamilyTooLargeError,
+    InfeasibleGraphError,
+    InputFormatError,
+)
+from .graphs import (
+    SimilarityGraph,
+    build_knnl,
+    build_nnl,
+    count_graph_family,
+    enumerate_graph_family,
+)
 from .stats import SUMMARIES, ExtendedCounts, MomentSet, extended_counts, moments
 
 
@@ -312,6 +323,43 @@ def mst_union(trees) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out))
 
 
+def knnl_by_rounds(dist_values, k: int, tol: float = 0.0) -> tuple[tuple[int, int], ...]:
+    """The k-NNL edge set, recounted pair by pair and round by round.
+
+    In each round, a finite pair (u, v) not taken by an earlier round is
+    kept when the pairs of that round lighter than it by more than ``tol``
+    leave u and v disconnected; a fresh union-find is built for every
+    pair. Non-finite distances are inadmissible. A round with no pair left
+    raises InfeasibleGraphError.
+    """
+    d = np.asarray(dist_values, dtype=np.float64)
+    n = d.shape[0]
+    taken: set[tuple[int, int]] = set()
+    for round_index in range(k):
+        pairs = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if (u, v) not in taken and np.isfinite(d[u, v])
+        ]
+        if not pairs:
+            raise InfeasibleGraphError(f"round {round_index + 1} of {k} has no pair left")
+        kept = []
+        for u, v in pairs:
+            parent = list(range(n))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for a, b in pairs:
+                if d[a, b] < d[u, v] - tol:
+                    parent[find(b)] = find(a)
+            if find(u) != find(v):
+                kept.append((u, v))
+        taken.update(kept)
+    return tuple(sorted(taken))
+
+
 # --- random small instances for oracle-vs-closed-form comparisons ----------
 
 
@@ -460,6 +508,29 @@ def verify_nnl(rng: np.random.Generator, instances: int) -> list[str]:
         if tuple(nnl.edges) != union:
             failures.append(
                 f"nnl {sorted(nnl.edges)} != union-of-MSTs {sorted(union)} "
+                f"for distances {d.tolist()}"
+            )
+    return failures
+
+
+def _edges_or_infeasible(build):
+    try:
+        return build()
+    except InfeasibleGraphError:
+        return "infeasible"
+
+
+def verify_knnl(rng: np.random.Generator, instances: int) -> list[str]:
+    """The 2- and 3-NNL against the round-by-round recount."""
+    failures = []
+    for _ in range(instances):
+        d = random_tied_matrix(rng, int(rng.integers(3, 9)))
+        k = int(rng.integers(2, 4))
+        have = _edges_or_infeasible(lambda: build_knnl(d, k).edges)
+        want = _edges_or_infeasible(lambda: knnl_by_rounds(d, k))
+        if have != want:
+            failures.append(
+                f"{k}-nnl {have} != round-by-round recount {want} "
                 f"for distances {d.tolist()}"
             )
     return failures

@@ -287,6 +287,22 @@ def test_graph_rounds_beyond_available_pairs_exit_2(capsys, tmp_path):
     assert "round 2" in err
 
 
+def test_graph_prints_a_huge_family_size_as_its_digit_count(capsys, tmp_path):
+    # Six rankings of three objects, 1,000 copies each: every within-value
+    # clique has 1000 ** 998 spanning trees and every C0 edge 1000 ** 2
+    # observation pairs, far past Python's 4,300-digit str() limit.
+    path = tmp_path / "repeated.csv"
+    rows = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    write_rankings_csv(path, rows * 500, rows * 500)
+    code, out, err = run_cli(capsys, [
+        "graph", "--input", str(path), "--kind", "ranking", "--graph", "nnl", "1",
+    ])
+    assert code == 0, err
+    n_edges = int(out.split("edges: ")[1].split()[0])
+    digits = 3 * (2 * n_edges + 6 * 998) + 1  # the size is 10 ** (3 * (2E + 6 * 998))
+    assert f"graph family size: {digits} decimal digits\n" in out
+
+
 # ---------------------------------------------------------------------------
 # exit codes on bad or degenerate input
 # ---------------------------------------------------------------------------
@@ -467,11 +483,12 @@ def test_verify_passes_against_the_oracles(capsys):
     elapsed = time.monotonic() - start
     assert code == 0 and err == ""
     lines = out.strip().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert all("PASS" in line for line in lines)
     assert "counts vs enumerated family/union" in lines[0]
     assert "moments vs exhaustive permutations" in lines[1]
     assert "nnl vs union of all MSTs" in lines[2]
+    assert lines[3] == "knnl vs round-by-round recount: PASS (10 instances)"
     assert elapsed < 60.0
 
 
@@ -491,3 +508,20 @@ def test_verify_catches_an_injected_moment_error(capsys, monkeypatch):
     assert "moments vs exhaustive permutations: FAIL" in out
     assert err.startswith("verification mismatch:")
     assert "E within1 (average)" in err
+
+
+def test_verify_catches_an_injected_knnl_error(capsys, monkeypatch):
+    real_build_knnl = oracle.build_knnl
+
+    def without_last_edge(dist, k):
+        graph = real_build_knnl(dist, k)
+        return dataclasses.replace(graph, edges=graph.edges[:-1])
+
+    monkeypatch.setattr(oracle, "build_knnl", without_last_edge)
+    code, out, err = run_cli(capsys, [
+        "verify", "--instances", "3", "--max-n", "8", "--seed", "1",
+    ])
+    assert code == 1
+    assert "nnl vs union of all MSTs: PASS" in out
+    assert "knnl vs round-by-round recount: FAIL (3 instances)" in out
+    assert "round-by-round recount" in err

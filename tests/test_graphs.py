@@ -24,7 +24,14 @@ from edgecount import (
     write_graph,
 )
 from edgecount.graphs import _prufer_tree
-from edgecount.oracle import all_msts, mst_union, mst_weight_prim, random_tied_matrix
+from edgecount.oracle import (
+    _edges_or_infeasible,
+    all_msts,
+    knnl_by_rounds,
+    mst_union,
+    mst_weight_prim,
+    random_tied_matrix,
+)
 
 from conftest import (
     FIVE_VALUE_DISTANCES,
@@ -45,6 +52,19 @@ def test_from_edges_canonicalizes_and_validates():
         SimilarityGraph.from_edges(3, [(0, 0)])
     with pytest.raises(InputFormatError):
         SimilarityGraph.from_edges(3, [(0, 3)])
+
+
+def test_from_edges_reports_the_first_bad_edge_in_input_order():
+    with pytest.raises(InputFormatError, match=r"^edge \(0,5\) outside 0\.\.2$"):
+        SimilarityGraph.from_edges(3, [(0, 1), (0, 5), (2, 2), (-1, 1)])
+    with pytest.raises(InputFormatError, match=r"^self-loop at node 2$"):
+        SimilarityGraph.from_edges(3, np.array([(1, 0), (2, 2), (0, 5)]))
+    with pytest.raises(InputFormatError, match=r"^edge \(-1,1\) outside 0\.\.2$"):
+        SimilarityGraph.from_edges(3, [(-1, 1), (1, 1)])
+    assert SimilarityGraph.from_edges(4, []).edges == ()
+    assert SimilarityGraph.from_edges(4, np.array([[3, 0], [0, 3], [2, 1]])).edges == (
+        (0, 3), (1, 2)
+    )
 
 
 def test_degree_sum_is_twice_edge_count():
@@ -182,6 +202,63 @@ def test_knnl_rounds_are_disjoint_and_nested():
         round2_direct = set(build_nnl(masked).edges)
         assert set(build_knnl(mat, 2).edges) == round1 | round2_direct
         assert round1.isdisjoint(round2_direct)
+
+
+def _assert_knnl_matches_round_recount(matrices, tol):
+    """Every k-NNL, k = 1, 2, 3, equals the oracle's; returns the infeasible count."""
+    infeasible = 0
+    for d in matrices:
+        mat = DistanceMatrix(values=d, tie_tolerance=tol)
+        for k in (1, 2, 3):
+            have = _edges_or_infeasible(lambda: build_knnl(mat, k).edges)
+            want = _edges_or_infeasible(lambda: knnl_by_rounds(d, k, tol))
+            assert have == want, (k, d.tolist())
+            infeasible += have == "infeasible"
+    return infeasible
+
+
+def test_knnl_equals_round_by_round_recount_on_integer_ties():
+    rng = np.random.default_rng(41)
+    matrices = [random_tied_matrix(rng, int(rng.integers(3, 9))) for _ in range(300)]
+    # small matrices run out of pairs by round 3, which must raise
+    assert _assert_knnl_matches_round_recount(matrices, 0.0) > 0
+
+
+def test_knnl_with_tie_tolerance_equals_round_by_round_recount():
+    rng = np.random.default_rng(43)
+    matrices = []
+    for _ in range(300):
+        n = int(rng.integers(3, 9))
+        jitter = np.triu(rng.random((n, n)) * 0.3, 1)
+        matrices.append(random_tied_matrix(rng, n) + jitter + jitter.T)
+    _assert_knnl_matches_round_recount(matrices, 0.25)
+    # jitter below the tolerance re-creates ties that exact comparison splits
+    assert any(
+        build_nnl(DistanceMatrix(values=d, tie_tolerance=0.25)).edges
+        != build_nnl(DistanceMatrix(values=d)).edges
+        for d in matrices
+    )
+
+
+def test_nnl_with_disconnecting_exclusions_is_the_union_of_minimum_spanning_forests():
+    rng = np.random.default_rng(47)
+    for _ in range(100):
+        n = int(rng.integers(4, 9))
+        d = random_tied_matrix(rng, n).astype(np.float64)
+        group = rng.integers(0, 3, size=n)
+        excluded = group[:, None] != group[None, :]
+        forests = set()
+        for nodes in (np.flatnonzero(group == g) for g in range(3)):
+            if len(nodes) >= 2:
+                for a, b in mst_union(all_msts(d[np.ix_(nodes, nodes)])):
+                    forests.add((int(nodes[a]), int(nodes[b])))
+        got = build_nnl(d, excluded)
+        assert set(got.edges) == forests
+        assert got.is_connected() == (len(set(group.tolist())) == 1)
+        masked = np.where(excluded, np.inf, d)
+        assert got.edges == knnl_by_rounds(masked, 1)
+        with pytest.raises(InfeasibleGraphError, match="no admissible pair remains"):
+            build_nnl(d, np.ones((n, n), dtype=bool))
 
 
 def test_knnl_infeasible_round_raises():
