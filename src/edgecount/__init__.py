@@ -33,14 +33,12 @@ from .errors import (
 )
 from .graphs import (
     SimilarityGraph,
-    UnionGraphSummary,
     build_kmst,
     build_knnl,
     build_nnl,
     count_graph_family,
     enumerate_graph_family,
     read_graph,
-    union_graph_summary,
     write_graph,
 )
 from .inference import (

@@ -9,9 +9,9 @@ one Prim growth gives every minimax path weight. A graph C0 on the K
 distinct values induces a family of observation-level graphs (one
 observation-pair choice per C0 edge crossed with one spanning tree per
 within-value clique); statistics either average over that family in closed
-form or evaluate on its edge union. This module computes everything the
-statistics need from C0: degrees, union-graph sizes, and the family
-cardinality.
+form or evaluate on its edge union. This module builds C0 and gives its
+degrees and the family cardinality; the statistics weigh the family's
+observation pairs themselves (``stats.summary_weights``).
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def _nnl_round(work: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(np.triu(keep, 1))
 
 
-def build_nnl(dist, excluded: np.ndarray | None = None) -> SimilarityGraph:
+def build_nnl(dist) -> SimilarityGraph:
     """Nearest neighbor link graph of a symmetric dissimilarity matrix.
 
     The result contains exactly the pairs that occur in at least one minimum
@@ -186,17 +186,15 @@ def build_nnl(dist, excluded: np.ndarray | None = None) -> SimilarityGraph:
     another and the result does not depend on any processing order. The
     cost is O(K^2) time and a few K x K float64 arrays.
 
-    ``excluded`` marks pairs treated as inadmissible, as are non-finite
-    distances; that is how later rounds of multi-graph constructions drop
-    earlier rounds' edges. When exclusions disconnect the values, the result
-    is the union of all minimum spanning forests (per remaining component);
-    with no admissible pair at all the graph is undefined and
-    InfeasibleGraphError is raised. Without exclusions the result always
-    contains a spanning tree and is therefore connected.
+    Non-finite distances mark pairs as inadmissible; that is how later
+    rounds of multi-graph constructions drop earlier rounds' edges. When
+    inadmissible pairs disconnect the values, the result is the union of
+    all minimum spanning forests (per remaining component); with no
+    admissible pair at all the graph is undefined and InfeasibleGraphError
+    is raised. With every pair finite the result contains a spanning tree
+    and is therefore connected.
     """
     work, tol = _admissible(dist)
-    if excluded is not None:
-        work[excluded] = np.inf
     us, vs = _nnl_round(work, tol)
     if not us.size:
         raise InfeasibleGraphError("no admissible pair remains")
@@ -263,48 +261,6 @@ def build_kmst(dist, k: int, seed: int) -> SimilarityGraph:
             used[e] = True
             edges.add((int(iu[e]), int(jv[e])))
     return SimilarityGraph.from_edges(n, edges)
-
-
-@dataclass(frozen=True)
-class UnionGraphSummary:
-    """Size and per-observation incidence of the family's edge union.
-
-    ``incident[i]`` counts union-graph edges containing observation i; for
-    an observation of value u it equals m_u - 1 + sum of neighbor
-    multiplicities. ``size`` is the union edge count.
-    """
-
-    size: int
-    incident: np.ndarray
-
-    def __post_init__(self) -> None:
-        inc = np.asarray(self.incident, dtype=np.int64)
-        if int(inc.sum()) != 2 * self.size:
-            raise InputFormatError("incident counts must sum to twice the union size")
-        inc = inc.copy()
-        inc.setflags(write=False)
-        object.__setattr__(self, "incident", inc)
-
-    @property
-    def sum_sq(self) -> int:
-        return int((self.incident.astype(object) ** 2).sum())
-
-
-def union_graph_summary(c0: SimilarityGraph, table: DistinctTable) -> UnionGraphSummary:
-    """Summary of the union graph induced by C0 and the multiplicities."""
-    if c0.n_nodes != table.n_values:
-        raise InputFormatError("graph and table disagree on the number of distinct values")
-    m = table.multiplicity
-    ea = c0.edge_array
-    size = int((m * (m - 1) // 2).sum())
-    if ea.shape[0]:
-        size += int((m[ea[:, 0]] * m[ea[:, 1]]).sum())
-    neighbor_mass = np.zeros(table.n_values, dtype=np.int64)
-    if ea.shape[0]:
-        np.add.at(neighbor_mass, ea[:, 0], m[ea[:, 1]])
-        np.add.at(neighbor_mass, ea[:, 1], m[ea[:, 0]])
-    per_value = m - 1 + neighbor_mass
-    return UnionGraphSummary(size=size, incident=per_value[table.value_index])
 
 
 def count_graph_family(c0: SimilarityGraph, table: DistinctTable) -> int:

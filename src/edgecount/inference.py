@@ -23,12 +23,7 @@ from scipy.special import ndtri
 
 from .dataset import DistinctTable
 from .errors import InputFormatError
-from .graphs import (
-    SimilarityGraph,
-    UnionGraphSummary,
-    count_graph_family,
-    union_graph_summary,
-)
+from .graphs import SimilarityGraph, count_graph_family
 from .stats import (
     SUMMARIES,
     MomentSet,
@@ -38,6 +33,7 @@ from .stats import (
     SummaryStatistics,
     evaluate_statistics,
     moments,
+    summary_weights,
 )
 
 #: Rejection direction per statistic kind.
@@ -179,14 +175,17 @@ def _chunk_hits(kernel: StatisticKernel, counts: np.ndarray, observed: Statistic
         block = values[name]
         obs = observed.summary(name)
         hits[name] = {
-            "edge": _extreme_hits(block["edge_z"], obs.edge_z, "lower"),
-            "weighted": _extreme_hits(block["weighted_z"], obs.weighted_z, "upper"),
-            "difference": _extreme_hits(block["difference_z"], obs.difference_z, "two_sided"),
-            "generalized": _extreme_hits(block["generalized"], obs.generalized, "upper"),
-            "max": {
-                kappa: _extreme_hits(block["max_stats"][kappa], obs.max_stats[kappa], "upper")
-                for kappa in kernel.kappas
-            },
+            kind: _extreme_hits(block[field], getattr(obs, field), DIRECTIONS[kind])
+            for kind, field in (
+                ("edge", "edge_z"),
+                ("weighted", "weighted_z"),
+                ("difference", "difference_z"),
+                ("generalized", "generalized"),
+            )
+        }
+        hits[name]["max"] = {
+            kappa: _extreme_hits(block["max_stats"][kappa], obs.max_stats[kappa], DIRECTIONS["max"])
+            for kappa in kernel.kappas
         }
     return hits
 
@@ -247,22 +246,18 @@ def permutation_pvalues(
     else:
         chunk_results = [run_chunk(i) for i in range(len(sizes))]
 
+    def pvalue(hits) -> float:
+        return (1 + sum(hits)) / (1 + n_perm)
+
     out: dict = {}
     for name in SUMMARIES:
-        merged = {"edge": 0, "weighted": 0, "difference": 0, "generalized": 0,
-                  "max": {kappa: 0 for kappa in kernel.kappas}}
-        for res in chunk_results:
-            block = res[name]
-            for key in ("edge", "weighted", "difference", "generalized"):
-                merged[key] += block[key]
-            for kappa in kernel.kappas:
-                merged["max"][kappa] += block["max"][kappa]
         out[name] = {
-            key: (1 + merged[key]) / (1 + n_perm)
+            key: pvalue(res[name][key] for res in chunk_results)
             for key in ("edge", "weighted", "difference", "generalized")
         }
         out[name]["max"] = {
-            kappa: (1 + merged["max"][kappa]) / (1 + n_perm) for kappa in kernel.kappas
+            kappa: pvalue(res[name]["max"][kappa] for res in chunk_results)
+            for kappa in kernel.kappas
         }
     return out
 
@@ -307,20 +302,20 @@ def _third_moment_sum(c0: SimilarityGraph, m: np.ndarray) -> int:
     return int((m.astype(object) * inc * touching).sum())
 
 
-def condition_diagnostics(
-    table: DistinctTable, c0: SimilarityGraph, union: UnionGraphSummary | None = None
-) -> Diagnostics:
+def condition_diagnostics(table: DistinctTable, c0: SimilarityGraph) -> Diagnostics:
     """Evaluate the finite-sample analogues of the asymptotic conditions."""
-    if union is None:
-        union = union_graph_summary(c0, table)
+    union = summary_weights(table.multiplicity, c0)["union"]
     n = table.n_total
     k = table.n_values
     m = table.multiplicity.astype(np.float64)
     deg = c0.degrees.astype(np.float64)
-    inc = union.incident.astype(np.float64)
 
+    # Degree variety: a quarter of the average summary's sum of squared
+    # centred weighted degrees, written so that it is exactly zero when every
+    # value has degree 2 and |C0| = K (a cycle), the case where the
+    # difference statistic degenerates.
     cond3 = float(((deg - 2.0) ** 2 / (4.0 * m)).sum()) - (c0.n_edges - k) ** 2 / n
-    union_variety = float((inc * inc).sum()) - 4.0 * union.size**2 / n
+    union_variety = float(union.sum_sq_degrees) - 4.0 * union.total**2 / n
     third_avg = _third_moment_sum(c0, np.ones(k, dtype=np.int64))
     third_union = _third_moment_sum(c0, table.multiplicity)
 
@@ -329,7 +324,7 @@ def condition_diagnostics(
         "distinct_value_ratio": k / n,
         "inverse_multiplicity_ratio": float((1.0 / m).sum()) / n,
         "degree_variety_ratio": cond3 / n,
-        "union_size_ratio": union.size / n,
+        "union_size_ratio": union.total / n,
         "union_variety_ratio": union_variety / n,
         "third_moment_ratio_average": third_avg / n**1.5,
         "third_moment_ratio_union": third_union / n**1.5,
@@ -351,7 +346,7 @@ def condition_diagnostics(
                 f"third-moment sum is large ({name} summary): normal approximation "
                 "may be poor; prefer permutation p-values"
             )
-    mset = moments(table, c0, union, require_nondegenerate=False)
+    mset = moments(table, c0, require_nondegenerate=False)
     for name in SUMMARIES:
         for stat in mset.summary(name).degenerate_statistics():
             warnings.append(f"null variance of {stat} ({name} summary) is zero")
@@ -360,6 +355,11 @@ def condition_diagnostics(
 
 def _format_kappa(kappa: float) -> str:
     return f"{kappa:g}"
+
+
+def _pvalues_json(pvalues: dict) -> dict:
+    """A p-value block with its kappas keyed as printed."""
+    return {**pvalues, "max": {_format_kappa(k): v for k, v in pvalues["max"].items()}}
 
 
 @dataclass(frozen=True)
@@ -430,22 +430,10 @@ class TestReport:
                     "generalized": stats.generalized,
                     "max": {_format_kappa(k): v for k, v in stats.max_stats.items()},
                 },
-                "p_analytic": {
-                    "edge": blk.analytic["edge"],
-                    "weighted": blk.analytic["weighted"],
-                    "difference": blk.analytic["difference"],
-                    "generalized": blk.analytic["generalized"],
-                    "max": {_format_kappa(k): v for k, v in blk.analytic["max"].items()},
-                },
+                "p_analytic": _pvalues_json(blk.analytic),
             }
             if blk.permutation is not None:
-                entry["p_permutation"] = {
-                    "edge": blk.permutation["edge"],
-                    "weighted": blk.permutation["weighted"],
-                    "difference": blk.permutation["difference"],
-                    "generalized": blk.permutation["generalized"],
-                    "max": {_format_kappa(k): v for k, v in blk.permutation["max"].items()},
-                }
+                entry["p_permutation"] = _pvalues_json(blk.permutation)
             out["summaries"][blk.name] = entry
         if self.diagnostics is not None:
             out["diagnostics"] = {
@@ -542,8 +530,7 @@ def analyze(
     timestamp: str | None = None,
 ) -> TestReport:
     """Full distinct-value pipeline: moments, statistics, p-values, report."""
-    union = union_graph_summary(c0, table)
-    mset = moments(table, c0, union)
+    mset = moments(table, c0)
     values = evaluate_statistics(table, c0, mset, kappas)
     perm = None
     if n_perm:
@@ -568,13 +555,13 @@ def analyze(
         "graph_rule": graph_rule or "user-supplied",
         "graph_edges": c0.n_edges,
         "graph_family_size": str(count_graph_family(c0, table)),
-        "union_graph_size": union.size,
+        "union_graph_size": summary_weights(table.multiplicity, c0)["union"].total,
     }
     return TestReport(
         meta=meta,
         blocks=tuple(blocks),
         kappas=tuple(kappas),
-        diagnostics=condition_diagnostics(table, c0, union),
+        diagnostics=condition_diagnostics(table, c0),
         seed=seed if n_perm else None,
         permutations=n_perm,
         timestamp=timestamp,

@@ -146,6 +146,54 @@ def enumerate_permutations(table: DistinctTable, c0: SimilarityGraph, cap: int =
     )
 
 
+def paper_average_moments(table: DistinctTable, c0: SimilarityGraph) -> dict[str, Fraction]:
+    """The paper's closed form of the average summary's null moments, exactly.
+
+    Keys are the fields of ``stats.SummaryMoments``. The form works on C0's
+    degrees and the multiplicities through four terms: a_sum (pairs of
+    family edges that share an observation), c_sum (the sum of 1/(m_u m_v)
+    over C0), d_sum (K minus the sum of 1/m_u) and the degree variety
+    cond3, which is zero exactly when C0 is a cycle. Every quantity is an
+    exact rational, so the closed form in ``stats`` is checked at any size.
+    """
+    n1, n2 = table.n1, table.n2
+    n = n1 + n2
+    k = table.n_values
+    m = [int(x) for x in table.multiplicity]
+    deg = [int(x) for x in c0.degrees]
+    n_edges = c0.n_edges
+
+    total = Fraction(n - k + n_edges)
+    a_sum = n - k + 2 * n_edges + sum(Fraction(d * d - 4 * d, 4 * mu) for d, mu in zip(deg, m))
+    c_sum = sum((Fraction(1, m[u] * m[v]) for u, v in c0.edges), Fraction(0))
+    d_sum = k - sum(Fraction(1, mu) for mu in m)
+    cond3 = sum(Fraction((d - 2) ** 2, 4 * mu) for d, mu in zip(deg, m)) - Fraction((n_edges - k) ** 2, n)
+
+    def falling(a: int, r: int) -> Fraction:
+        return Fraction(math.perm(a, r), math.perm(n, r))
+
+    p1, p2, p3 = falling(n1, 2), falling(n1, 3), falling(n1, 4)
+    q1, q2, q3 = falling(n2, 2), falling(n2, 3), falling(n2, 4)
+    f1 = Fraction(n1 * (n1 - 1) * n2 * (n2 - 1), math.perm(n, 4))
+    return {
+        "total": total,
+        "mean_within1": total * p1,
+        "var_within1": 4 * (p2 - p3) * a_sum + (p3 - p1 * p1) * total * total
+        + (p1 - 2 * p2 + p3) * c_sum + 2 * (p1 - 4 * p2 + 3 * p3) * d_sum,
+        "mean_within2": total * q1,
+        "var_within2": 4 * (q2 - q3) * a_sum + (q3 - q1 * q1) * total * total
+        + (q1 - 2 * q2 + q3) * c_sum + 2 * (q1 - 4 * q2 + 3 * q3) * d_sum,
+        "cov_within": (f1 - p1 * q1) * total * total + f1 * (-4 * a_sum + 6 * d_sum + c_sum),
+        "mean_weighted": total * Fraction((n1 - 1) * (n2 - 1), (n - 1) * (n - 2)),
+        "var_weighted": f1 * (
+            Fraction(-4, n - 2) * cond3 + 2 * d_sum + c_sum
+            - Fraction(2 * (n_edges + n - k) ** 2, n * (n - 1))
+        ),
+        "mean_difference": total * Fraction(n1 - n2, n),
+        "var_difference": Fraction(4 * n1 * n2, n * (n - 1)) * cond3,
+    }
+
+
 def _scan_counts(edges, labels) -> tuple[int, int, int]:
     between = within1 = within2 = 0
     for a, b in edges:

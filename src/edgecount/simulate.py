@@ -21,10 +21,10 @@ from itertools import permutations
 import numpy as np
 
 from .dataset import deduplicate, pairwise_distances
-from .errors import InputFormatError
+from .errors import DegenerateNullError, FamilyTooLargeError, InputFormatError
 from .graphs import build_kmst, build_knnl
 from .inference import DEFAULT_KAPPAS, analytic_pvalue_block
-from .stats import SUMMARIES, evaluate_statistics, moments
+from .stats import SUMMARIES, check_kappas, evaluate_statistics, moments
 
 MAX_OBJECTS = 8
 
@@ -205,6 +205,7 @@ class ScenarioConfig:
             raise InputFormatError("graph_rule must be 'nnl' or 'mst'")
         if not 0.0 < self.alpha < 1.0:
             raise InputFormatError("alpha must be in (0, 1)")
+        check_kappas(self.kappas)
 
 
 def statistic_keys(kappas: tuple[float, ...]) -> list[str]:
@@ -312,8 +313,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     for r in range(config.replicates):
         try:
             pvals = _replicate_pvalues(config, np.random.default_rng(children[r]), gen1, gen2)
-        except Exception as exc:
-            raise RuntimeError(f"replicate {r} failed: {exc}") from exc
+        except (ValueError, DegenerateNullError, FamilyTooLargeError) as exc:
+            # Same type, so the command line still exits with its documented code.
+            raise type(exc)(f"replicate {r} failed: {exc}") from exc
         for key in keys:
             if pvals[key] <= config.alpha:
                 rejections[key] += 1

@@ -2,10 +2,15 @@
 
 Every statistic exists in two flavors per graph C0 on the distinct values:
 the "average" summary (arithmetic mean over the whole induced family of
-observation-level graphs, in closed form) and the "union" summary (the
-statistic evaluated on the family's edge union). Both are functions of the
-per-value sample-1 count vector alone, so the permutation engine never
-touches observation-level graphs: each draw costs O(K + |C0|).
+observation-level graphs) and the "union" summary (the statistic evaluated
+on the family's edge union). Both are edge counts on one weighted graph on
+the observations: a pair of copies of value u weighs 2/m_u (its chance to
+lie in a random member of the family) or 1, and a pair across a C0 edge
+(u, v) weighs 1/(m_u m_v) or 1 (``summary_weights``). So the counts are
+sparse quadratic forms in the per-value sample-1 count vector, and each
+permutation draw costs O(K + |C0|) without touching observation-level
+graphs. One fixed-graph moment formula, fed by four sums over the K values,
+gives the null moments of both summaries and of any fixed graph.
 
 Raw counts per summary: the between-sample count, and the two within-sample
 counts. Derived statistics: the standardized between count (low values
@@ -25,7 +30,7 @@ from scipy.sparse import csr_array
 
 from .dataset import DistinctTable
 from .errors import DegenerateNullError, InputFormatError
-from .graphs import SimilarityGraph, UnionGraphSummary, union_graph_summary
+from .graphs import SimilarityGraph
 
 DEGENERATE_REL_TOL = 1e-9
 
@@ -73,6 +78,15 @@ class NullConstants:
         return cls(p1, p2, p3, q1, q2, q3, f1)
 
 
+class _PerSummary:
+    """Lookup of the ``average`` or ``union`` field by summary name."""
+
+    def summary(self, name: str):
+        if name not in SUMMARIES:
+            raise InputFormatError(f"unknown summary {name!r}")
+        return getattr(self, name)
+
+
 @dataclass(frozen=True)
 class SummaryMoments:
     """Null moments of the counts under one summary.
@@ -113,7 +127,7 @@ class SummaryMoments:
 
 
 @dataclass(frozen=True)
-class MomentSet:
+class MomentSet(_PerSummary):
     """All null moments for one instance, both summaries."""
 
     n1: int
@@ -130,11 +144,6 @@ class MomentSet:
     def pooled_weight(self) -> float:
         """The variance-minimizing weight on within2: (n1 - 1)/(N - 2)."""
         return (self.n1 - 1) / (self.n_total - 2)
-
-    def summary(self, name: str) -> SummaryMoments:
-        if name not in SUMMARIES:
-            raise InputFormatError(f"unknown summary {name!r}")
-        return self.average if name == "average" else self.union
 
     def require_nondegenerate(self) -> None:
         for name in SUMMARIES:
@@ -154,14 +163,9 @@ class CountTriple:
 
 
 @dataclass(frozen=True)
-class ExtendedCounts:
+class ExtendedCounts(_PerSummary):
     average: CountTriple
     union: CountTriple
-
-    def summary(self, name: str) -> CountTriple:
-        if name not in SUMMARIES:
-            raise InputFormatError(f"unknown summary {name!r}")
-        return self.average if name == "average" else self.union
 
 
 @dataclass(frozen=True)
@@ -181,14 +185,9 @@ class SummaryStatistics:
 
 
 @dataclass(frozen=True)
-class StatisticValues:
+class StatisticValues(_PerSummary):
     average: SummaryStatistics
     union: SummaryStatistics
-
-    def summary(self, name: str) -> SummaryStatistics:
-        if name not in SUMMARIES:
-            raise InputFormatError(f"unknown summary {name!r}")
-        return self.average if name == "average" else self.union
 
 
 def _resolve_counts1(table: DistinctTable, counts1) -> np.ndarray:
@@ -204,34 +203,104 @@ def _resolve_counts1(table: DistinctTable, counts1) -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True)
+class SummaryWeights:
+    """One summary as a weighted graph on the N observations.
+
+    A pair of copies of value u weighs ``pair_weight[u]`` and a pair across
+    a C0 edge weighs that edge's ``edge_weight`` (``c0.edge_array`` order);
+    ``total`` is the exact sum of all pair weights, the constant between +
+    within1 + within2. ``degree[u]`` is the weighted degree D_u of each
+    observation of value u, and S_u is the same sum of squared weights. The
+    null moments need three more sums: of the squared weights over all
+    pairs, and over the N observations (so over the values, weighted by
+    m_u) of D^2 - S, which counts ordered pairs of distinct pairs sharing
+    that observation, and of D^2.
+    """
+
+    pair_weight: np.ndarray
+    edge_weight: np.ndarray
+    total: int
+    degree: np.ndarray
+    sum_sq_weights: float | int
+    sum_shared: float | int
+    sum_sq_degrees: float | int
+
+
+def summary_weights(multiplicity, c0: SimilarityGraph) -> dict[str, SummaryWeights]:
+    """The weights of both summaries, in O(K + |C0|).
+
+    Average: a pair of copies of u lies in a random member of the family
+    with probability 2/m_u and a C0 pair with probability 1/(m_u m_v), so
+    the average counts are the counts on that weighted graph. Union: every
+    weight is 1, held as integers so that the union's sums are exact.
+    """
+    m = np.asarray(multiplicity, dtype=np.int64)
+    k = m.size
+    if c0.n_nodes != k:
+        raise InputFormatError("graph and table disagree on the number of distinct values")
+    u, v = c0.edge_array[:, 0], c0.edge_array[:, 1]
+    m_u, m_v = m[u], m[v]
+    copies = m * (m - 1) // 2
+    out = {}
+    for name, pair, edge, total in (
+        ("average", 2.0 / m, 1.0 / (m_u * m_v), int(m.sum()) - k + c0.n_edges),
+        ("union", np.ones(k, dtype=np.int64), np.ones(u.size, dtype=np.int64),
+         int(copies.sum()) + int((m_u * m_v).sum())),
+    ):
+        # Per edge: the weight from one observation of u to v's whole block,
+        # and from one observation of v to u's block.
+        at_u, at_v = m_v * edge, m_u * edge
+        degree = (m - 1) * pair + _incident_sum(k, u, v, at_u, at_v)
+        sq = (m - 1) * pair**2 + _incident_sum(k, u, v, at_u * edge, at_v * edge)
+        out[name] = SummaryWeights(
+            pair_weight=pair,
+            edge_weight=edge,
+            total=total,
+            degree=degree,
+            sum_sq_weights=(copies * pair**2).sum() + (at_u * at_v).sum(),
+            sum_shared=(m * (degree**2 - sq)).sum(),
+            sum_sq_degrees=(m * degree**2).sum(),
+        )
+    return out
+
+
+def _incident_sum(k: int, u: np.ndarray, v: np.ndarray, at_u: np.ndarray, at_v: np.ndarray) -> np.ndarray:
+    """Per value x, the sum of ``at_u`` over C0 edges (x, .) and of ``at_v`` over (., x).
+
+    bincount sums in float64, which is exact for integer entries whose sums
+    stay below 2**53, so integer entries come back as exact integers.
+    """
+    out = np.bincount(u, at_u, k) + np.bincount(v, at_v, k)
+    return out.astype(at_u.dtype, copy=False)
+
+
 class WithinForms:
     """Within-sample counts of both summaries as sparse quadratic forms.
 
-    Per summary, each value u has a self-pair weight d_u and each edge of
-    C0 a weight w_uv. With the sparse matrix U holding d on its diagonal and
-    each edge's weight once (row u, column v), and ``total`` the constant
-    between + within1 + within2, the within counts of a per-value sample-1
-    count vector c1 with multiplicities m are
+    Per summary, each value u has a self-pair weight d_u (half its
+    ``SummaryWeights.pair_weight``) and each edge of C0 a weight w_uv. With
+    the sparse matrix U holding d on its diagonal and each edge's weight
+    once (row u, column v), and ``total`` the constant between + within1 +
+    within2, the within counts of a per-value sample-1 count vector c1 with
+    multiplicities m are
 
         within1 = c1'U c1 - c1.d
         within2 = total + c1'U c1 - c1.((U + U')m - d)
 
-    so a batch of draws never forms the sample-2 counts m - c1. The average
-    summary has d = 1/m and w = 1/(m_u m_v); the union summary has d = 1/2
-    and w = 1, which keeps its counts exact integers in float64. Count
-    matrices are K x B: one column per labeling.
+    so a batch of draws never forms the sample-2 counts m - c1. The union
+    summary's d = 1/2 and w = 1 keep its counts exact integers in float64.
+    Count matrices are K x B: one column per labeling.
     """
 
     def __init__(self, multiplicity, c0: SimilarityGraph) -> None:
+        weights = summary_weights(multiplicity, c0)
         m_int = np.asarray(multiplicity, dtype=np.int64)
         k = m_int.size
-        if c0.n_nodes != k:
-            raise InputFormatError("graph and table disagree on the number of distinct values")
         self._multiplicity = m_int
         m = m_int.astype(np.float64)
-        ea = c0.edge_array
-        ea = ea[np.argsort(ea[:, 0], kind="stable")]
-        u, v = ea[:, 0], ea[:, 1]
+        order = np.argsort(c0.edge_array[:, 0], kind="stable")
+        u, v = c0.edge_array[order, 0], c0.edge_array[order, 1]
         # CSR layout shared by both summaries: row r holds its diagonal entry,
         # then the edges (r, v); with edges sorted by u, edge i lands at i + u + 1.
         indptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=k) + 1)])
@@ -241,18 +310,14 @@ class WithinForms:
         indices[diag_at] = np.arange(k)
         indices[edge_at] = v
         self._forms: dict[str, tuple] = {}
-        for name, self_weight, edge_weight, total in (
-            ("average", 1.0 / m, 1.0 / (m[u] * m[v]),
-             int(m_int.sum()) - k + c0.n_edges),
-            ("union", np.full(k, 0.5), np.ones(u.size),
-             int((m_int * (m_int - 1) // 2).sum()) + int((m_int[u] * m_int[v]).sum())),
-        ):
+        for name, w in weights.items():
+            self_weight = w.pair_weight / 2.0
             data = np.empty(k + u.size)
             data[diag_at] = self_weight
-            data[edge_at] = edge_weight
+            data[edge_at] = w.edge_weight[order]
             q = csr_array((data, indices, indptr), shape=(k, k))
             within2_linear = q @ m + q.T @ m - self_weight
-            self._forms[name] = (q, self_weight, within2_linear, float(total))
+            self._forms[name] = (q, self_weight, within2_linear, float(w.total))
 
     def total(self, name: str) -> float:
         return self._forms[name][3]
@@ -309,141 +374,71 @@ def extended_counts(table: DistinctTable, c0: SimilarityGraph, counts1=None) -> 
     return ExtendedCounts(average=triples["average"], union=triples["union"])
 
 
-def _average_summary_moments(
-    table: DistinctTable, c0: SimilarityGraph, consts: NullConstants
-) -> SummaryMoments:
-    n1, n2 = table.n1, table.n2
-    n = table.n_total
-    k = table.n_values
-    m = table.multiplicity.astype(np.float64)
-    deg = c0.degrees.astype(np.float64)
-    n_edges = c0.n_edges
-    ea = c0.edge_array
+def _shape_moments(w: SummaryWeights, n1: int, n2: int, consts: NullConstants, name: str) -> SummaryMoments:
+    """Moments of the counts on a FIXED weighted graph on the N observations.
 
-    total = n - k + n_edges
-    a_sum = n - k + 2 * n_edges + float((deg * deg / (4.0 * m)).sum() - (deg / m).sum())
-    c_sum = float((1.0 / (m[ea[:, 0]] * m[ea[:, 1]])).sum()) if n_edges else 0.0
-    d_sum = k - float((1.0 / m).sum())
-    # Degree-variety term: zero exactly when every value has degree 2 and
-    # |C0| = K (a cycle), the case where the difference statistic degenerates.
-    cond3 = float(((deg - 2.0) ** 2 / (4.0 * m)).sum()) - (n_edges - k) ** 2 / n
-
-    p1, p2, p3 = consts.p1, consts.p2, consts.p3
-    q1, q2, q3 = consts.q1, consts.q2, consts.q3
-    f1 = consts.f1
-
-    mean_w1 = total * p1
-    mean_w2 = total * q1
-    var_w1 = (
-        4.0 * (p2 - p3) * a_sum
-        + (p3 - p1 * p1) * total * total
-        + (p1 - 2.0 * p2 + p3) * c_sum
-        + 2.0 * (p1 - 4.0 * p2 + 3.0 * p3) * d_sum
-    )
-    var_w2 = (
-        4.0 * (q2 - q3) * a_sum
-        + (q3 - q1 * q1) * total * total
-        + (q1 - 2.0 * q2 + q3) * c_sum
-        + 2.0 * (q1 - 4.0 * q2 + 3.0 * q3) * d_sum
-    )
-    cov = (f1 - p1 * q1) * total * total + f1 * (-4.0 * a_sum + 6.0 * d_sum + c_sum)
-
-    mean_wt = total * ((n1 - 1) * (n2 - 1)) / ((n - 1) * (n - 2))
-    var_wt = f1 * (
-        -4.0 / (n - 2) * cond3
-        + 2.0 * d_sum
-        + c_sum
-        - 2.0 * (n_edges + n - k) ** 2 / (n * (n - 1))
-    )
-    mean_diff = total * (n1 - n2) / n
-    var_diff = 4.0 * n1 * n2 / (n * (n - 1)) * cond3
-
-    return SummaryMoments(
-        total=float(total),
-        mean_within1=mean_w1,
-        var_within1=_checked_var(var_w1, mean_w1, "within1 (average summary)"),
-        mean_within2=mean_w2,
-        var_within2=_checked_var(var_w2, mean_w2, "within2 (average summary)"),
-        cov_within=cov,
-        mean_weighted=mean_wt,
-        var_weighted=_checked_var(var_wt, mean_wt, "weighted (average summary)"),
-        mean_difference=mean_diff,
-        var_difference=_checked_var(var_diff, mean_diff, "difference (average summary)"),
-    )
-
-
-def _union_shape_moments(
-    size: float, sum_ee1: float, sum_e2: float, n1: int, n2: int, consts: NullConstants
-) -> SummaryMoments:
-    """Moments of counts on a FIXED graph with ``size`` edges.
-
-    Only the edge count and the per-node incident-count sums enter, so the
-    same shapes serve the union summary and arbitrary observation-level
-    graphs.
+    Chen & Friedman's fixed-graph forms with the sum of squared weights as
+    its own term (with unit weights it is the edge count): a pair of pairs
+    on 2, 3 or 4 distinct observations lies in sample 1 with chance p1, p2
+    or p3, and the pairs of pairs on 2 and 3 observations weigh the sum of
+    squared weights and the shared sum of ``SummaryWeights``.
     """
     n = n1 + n2
+    size, sq = float(w.total), float(w.sum_sq_weights)
+    share, e2 = float(w.sum_shared), float(w.sum_sq_degrees)
     p1, p2, p3 = consts.p1, consts.p2, consts.p3
     q1, q2, q3 = consts.q1, consts.q2, consts.q3
     f1 = consts.f1
 
     mean_w1 = size * p1
     mean_w2 = size * q1
-    var_w1 = (p1 - p3) * size + (p2 - p3) * sum_ee1 + (p3 - p1 * p1) * size * size
-    var_w2 = (q1 - q3) * size + (q2 - q3) * sum_ee1 + (q3 - q1 * q1) * size * size
-    cov = f1 * (size * size - size - sum_ee1) - p1 * q1 * size * size
+    var_w1 = (p1 - p3) * sq + (p2 - p3) * share + (p3 - p1 * p1) * size * size
+    var_w2 = (q1 - q3) * sq + (q2 - q3) * share + (q3 - q1 * q1) * size * size
+    cov = f1 * (size * size - sq - share) - p1 * q1 * size * size
 
     mean_wt = size * ((n1 - 1) * (n2 - 1)) / ((n - 1) * (n - 2))
-    var_wt = f1 * (size - sum_e2 / (n - 2) + 2.0 * size * size / ((n - 1) * (n - 2)))
+    var_wt = f1 * (sq - e2 / (n - 2) + 2.0 * size * size / ((n - 1) * (n - 2)))
     mean_diff = size * (n1 - n2) / n
-    var_diff = n1 * n2 / (n * (n - 1.0)) * (sum_e2 - 4.0 * size * size / n)
+    var_diff = n1 * n2 / (n * (n - 1.0)) * (e2 - 4.0 * size * size / n)
 
     return SummaryMoments(
-        total=float(size),
+        total=size,
         mean_within1=mean_w1,
-        var_within1=_checked_var(var_w1, mean_w1, "within1 (union summary)"),
+        var_within1=_checked_var(var_w1, mean_w1, f"within1 ({name} summary)"),
         mean_within2=mean_w2,
-        var_within2=_checked_var(var_w2, mean_w2, "within2 (union summary)"),
+        var_within2=_checked_var(var_w2, mean_w2, f"within2 ({name} summary)"),
         cov_within=cov,
         mean_weighted=mean_wt,
-        var_weighted=_checked_var(var_wt, mean_wt, "weighted (union summary)"),
+        var_weighted=_checked_var(var_wt, mean_wt, f"weighted ({name} summary)"),
         mean_difference=mean_diff,
-        var_difference=_checked_var(var_diff, mean_diff, "difference (union summary)"),
+        var_difference=_checked_var(var_diff, mean_diff, f"difference ({name} summary)"),
     )
 
 
 def moments(
-    table: DistinctTable,
-    c0: SimilarityGraph,
-    union: UnionGraphSummary | None = None,
-    require_nondegenerate: bool = True,
+    table: DistinctTable, c0: SimilarityGraph, require_nondegenerate: bool = True
 ) -> MomentSet:
     """Exact null moments of every count statistic under both summaries.
+
+    Each summary is a weighted graph on the observations (``summary_weights``)
+    and one formula, ``_shape_moments``, gives the moments of the counts on
+    any such graph from four sums over the K values, in O(K + |C0|). A
+    fixed observation-level graph is the all-multiplicities-one table, where
+    both summaries are that graph.
 
     With ``require_nondegenerate`` (the default) a collapsed null variance
     raises a degenerate-null error naming the offending statistic; pass
     False to inspect the raw moments anyway.
     """
-    if c0.n_nodes != table.n_values:
-        raise InputFormatError("graph and table disagree on the number of distinct values")
+    weights = summary_weights(table.multiplicity, c0)
     if table.n_total < 4:
         raise ValueError("need at least 4 observations for null moments")
-    if union is None:
-        union = union_graph_summary(c0, table)
     consts = NullConstants.from_sizes(table.n1, table.n2)
-    inc = union.incident.astype(np.float64)
     mset = MomentSet(
         n1=table.n1,
         n2=table.n2,
-        average=_average_summary_moments(table, c0, consts),
-        union=_union_shape_moments(
-            float(union.size),
-            float((inc * (inc - 1.0)).sum()),
-            float((inc * inc).sum()),
-            table.n1,
-            table.n2,
-            consts,
-        ),
         constants=consts,
+        **{name: _shape_moments(w, table.n1, table.n2, consts, name) for name, w in weights.items()},
     )
     if require_nondegenerate:
         mset.require_nondegenerate()
@@ -457,6 +452,19 @@ def mixture_variance(moms: SummaryMoments, p: float) -> float:
         + p * p * moms.var_within2
         + 2.0 * p * (1.0 - p) * moms.cov_within
     )
+
+
+def check_kappas(kappas) -> None:
+    """Reject max-statistic kappas that are not positive or that print alike.
+
+    Reports and power-study keys name each kappa by its ``:g`` form, so two
+    kappas with one form (1 and 1.0) would share a key.
+    """
+    if any(k <= 0 for k in kappas):
+        raise InputFormatError("kappa values must be positive")
+    labels = [f"{k:g}" for k in kappas]
+    if len(set(labels)) != len(labels):
+        raise InputFormatError(f"kappa values must be distinct, got {', '.join(labels)}")
 
 
 class StatisticKernel:
@@ -477,13 +485,10 @@ class StatisticKernel:
         mset: MomentSet | None = None,
         kappas: tuple[float, ...] = (),
     ) -> None:
-        if c0.n_nodes != table.n_values:
-            raise InputFormatError("graph and table disagree on the number of distinct values")
         if mset is None:
             mset = moments(table, c0)
         mset.require_nondegenerate()
-        if any(k <= 0 for k in kappas):
-            raise InputFormatError("kappa values must be positive")
+        check_kappas(kappas)
         self.mset = mset
         self.kappas = tuple(kappas)
         self.n_values = table.n_values

@@ -401,6 +401,16 @@ def test_nonpositive_kappa_exits_2(capsys, rankings_file):
     assert "kappa" in err
 
 
+def test_kappas_that_print_alike_exit_2(capsys, rankings_file):
+    code, out, err = run_cli(capsys, [
+        "test", "--input", str(rankings_file), "--kind", "ranking",
+        "--kappa", "1", "1.0",
+    ])
+    assert code == 2
+    assert out == ""
+    assert "kappa values must be distinct" in err
+
+
 def test_invalid_thread_env_exits_2(capsys, monkeypatch, rankings_file):
     monkeypatch.setenv("EDGECOUNT_THREADS", "zebra")
     code, _, err = run_cli(capsys, [
@@ -455,6 +465,51 @@ def test_power_config_file_runs(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["power", "--config", str(config)])
     assert code == 0
     assert len(out.strip().splitlines()) == 3
+
+
+def _write_power_config(path, **overrides):
+    fields = {
+        "generator1": "mallows", "theta1": "1.0", "center1": "1,2,3,4,5",
+        "generator2": "mallows", "theta2": "1.0", "center2": "5,4,3,2,1",
+        "normalize1": "true", "normalize2": "true",
+        "n1": "20", "n2": "20", "graph_k": "2", "replicates": "2", "seed": "3",
+    }
+    fields.update(overrides)
+    path.write_text("".join(f"{key} = {value}\n" for key, value in fields.items()))
+    return str(path)
+
+
+def test_power_config_with_kappas_that_print_alike_exits_2(capsys, tmp_path):
+    config = _write_power_config(tmp_path / "s.cfg", kappas="1, 1.0")
+    code, out, err = run_cli(capsys, ["power", "--config", config])
+    assert code == 2
+    assert out == ""
+    assert "kappa values must be distinct" in err
+
+
+@pytest.mark.parametrize(
+    ("overrides", "expected_code", "fragment"),
+    [
+        # a sharp un-normalized model draws one ranking: no graph exists
+        ({"theta1": "5", "theta2": "5", "center2": "1,2,3,4,5",
+          "normalize1": "false", "normalize2": "false"},
+         2, "need at least two distinct values"),
+        # rankings of two objects: two distinct values, so a second NNL round
+        # has no pair left, and the one edge of the first round gives every
+        # labeling the same union between count
+        ({"center1": "1,2", "center2": "2,1"}, 2, "round 2 of 2 has no admissible pair"),
+        ({"center1": "1,2", "center2": "2,1", "graph_k": "1"}, 3, "null variance of edge"),
+    ],
+)
+def test_power_replicate_errors_keep_their_exit_code(
+    capsys, tmp_path, overrides, expected_code, fragment
+):
+    config = _write_power_config(tmp_path / "s.cfg", **overrides)
+    code, out, err = run_cli(capsys, ["power", "--config", config])
+    assert code == expected_code
+    assert out == ""
+    assert "replicate 0 failed" in err and fragment in err
+    assert "Traceback" not in err
 
 
 def test_power_needs_exactly_one_source(capsys, tmp_path):

@@ -20,7 +20,6 @@ from edgecount import (
     enumerate_graph_family,
     materialize_union_graph,
     read_graph,
-    union_graph_summary,
     write_graph,
 )
 from edgecount.graphs import _prufer_tree
@@ -32,6 +31,7 @@ from edgecount.oracle import (
     mst_weight_prim,
     random_tied_matrix,
 )
+from edgecount.stats import summary_weights
 
 from conftest import (
     FIVE_VALUE_DISTANCES,
@@ -252,13 +252,13 @@ def test_nnl_with_disconnecting_exclusions_is_the_union_of_minimum_spanning_fore
             if len(nodes) >= 2:
                 for a, b in mst_union(all_msts(d[np.ix_(nodes, nodes)])):
                     forests.add((int(nodes[a]), int(nodes[b])))
-        got = build_nnl(d, excluded)
+        masked = np.where(excluded, np.inf, d)
+        got = build_nnl(masked)
         assert set(got.edges) == forests
         assert got.is_connected() == (len(set(group.tolist())) == 1)
-        masked = np.where(excluded, np.inf, d)
         assert got.edges == knnl_by_rounds(masked, 1)
         with pytest.raises(InfeasibleGraphError, match="no admissible pair remains"):
-            build_nnl(d, np.ones((n, n), dtype=bool))
+            build_nnl(np.full((n, n), np.inf))
 
 
 def test_knnl_infeasible_round_raises():
@@ -321,35 +321,35 @@ def test_kmst_infeasible_k_raises():
 def test_union_graph_single_value_is_complete():
     table = table_from_counts((3,), (6,))
     c0 = SimilarityGraph.from_edges(1, [])
-    u = union_graph_summary(c0, table)
-    assert u.size == 6 * 5 // 2
-    assert u.incident.tolist() == [5] * 6
+    u = summary_weights(table.multiplicity, c0)["union"]
+    assert u.total == 6 * 5 // 2
+    assert u.degree[table.value_index].tolist() == [5] * 6
 
 
 def test_union_graph_no_repeats_is_c0():
     table = table_from_counts((1, 0, 1), (1, 1, 1))
     c0 = SimilarityGraph.from_edges(3, [(0, 1), (1, 2)])
-    u = union_graph_summary(c0, table)
-    assert u.size == c0.n_edges
-    assert u.incident.tolist() == c0.degrees.tolist()
+    u = summary_weights(table.multiplicity, c0)["union"]
+    assert u.total == c0.n_edges
+    assert u.degree.tolist() == c0.degrees.tolist()
 
 
 def test_union_graph_formula_matches_materialization():
     table = table_from_counts((1, 2, 2, 2, 1), FIVE_VALUE_MULTIPLICITY)
     c0 = SimilarityGraph.from_edges(5, FIVE_VALUE_NNL_EDGES)
-    u = union_graph_summary(c0, table)
+    u = summary_weights(table.multiplicity, c0)["union"]
     materialized = materialize_union_graph(c0, table)
-    assert u.size == materialized.n_edges
-    assert u.incident.tolist() == materialized.degrees.tolist()
-    assert int(u.incident.sum()) == 2 * u.size
-    assert u.sum_sq == int((materialized.degrees.astype(object) ** 2).sum())
+    assert u.total == materialized.n_edges
+    assert u.degree[table.value_index].tolist() == materialized.degrees.tolist()
+    assert int((table.multiplicity * u.degree).sum()) == 2 * u.total
+    assert u.sum_sq_degrees == int((materialized.degrees.astype(object) ** 2).sum())
 
 
 def test_union_graph_size_mismatch_raises():
     table = table_from_counts((1, 1), (2, 2))
     c0 = SimilarityGraph.from_edges(3, [(0, 1)])
     with pytest.raises((InputFormatError, ValueError)):
-        union_graph_summary(c0, table)
+        summary_weights(table.multiplicity, c0)
 
 
 # --- graph family ------------------------------------------------------------

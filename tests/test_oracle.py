@@ -25,6 +25,7 @@ from edgecount.oracle import (
     enumerate_permutations,
     mst_union,
     mst_weight_prim,
+    paper_average_moments,
     random_instance,
     random_tied_matrix,
     union_counts_direct,
@@ -102,6 +103,32 @@ def test_exhaustive_null_respects_cap():
 
 # ---------------------------------------------------------------------------
 # Family averaging by direct materialization
+
+
+def test_papers_average_form_equals_the_exhaustive_null_exactly():
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        table, c0 = random_instance(rng, max_values=4, max_multiplicity=3)
+        null = enumerate_permutations(table, c0)
+        n1, n = table.n1, table.n_total
+        p_hat = Fraction(n1 - 1, n - 2)
+        w1 = lambda r: r["within1_average"]
+        w2 = lambda r: r["within2_average"]
+        wt = lambda r: (1 - p_hat) * w1(r) + p_hat * w2(r)
+        df = lambda r: w1(r) - w2(r)
+        want = {
+            "total": null.mean(lambda r: w1(r) + w2(r) + r["between_average"]),
+            "mean_within1": null.mean(w1),
+            "var_within1": null.variance(w1),
+            "mean_within2": null.mean(w2),
+            "var_within2": null.variance(w2),
+            "cov_within": null.covariance(w1, w2),
+            "mean_weighted": null.mean(wt),
+            "var_weighted": null.variance(wt),
+            "mean_difference": null.mean(df),
+            "var_difference": null.variance(df),
+        }
+        assert paper_average_moments(table, c0) == want
 
 
 def test_family_average_with_no_repeats_is_the_single_graph_count():

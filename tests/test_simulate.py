@@ -211,6 +211,17 @@ def test_scenario_config_validation():
         ScenarioConfig(generator1=gen, generator2=gen, n1=5, n2=5, alpha=1.5)
 
 
+def test_scenario_config_rejects_kappas_that_print_alike():
+    gen = GeneratorSpec(kind="mallows", theta=1.0, center=(1, 2, 3))
+    for kappas in ((1.0, 1), (0.5, 1.31, 0.50)):
+        with pytest.raises(InputFormatError, match="distinct"):
+            ScenarioConfig(generator1=gen, generator2=gen, n1=5, n2=5, kappas=kappas)
+    with pytest.raises(InputFormatError, match="distinct"):
+        built_in_scenario("S1", replicates=4, seed=1, kappas=(1.0, 1))
+    with pytest.raises(InputFormatError, match="positive"):
+        ScenarioConfig(generator1=gen, generator2=gen, n1=5, n2=5, kappas=(0.0,))
+
+
 def test_statistic_keys_cover_both_summaries_and_all_kappas():
     keys = statistic_keys((1.31, 1.0))
     assert "edge_average" in keys and "edge_union" in keys

@@ -29,6 +29,7 @@ from edgecount.oracle import (
     enumerate_permutations,
     generalized_statistic_quadratic,
     materialize_union_graph,
+    paper_average_moments,
     random_tied_matrix,
     union_counts_direct,
 )
@@ -154,6 +155,23 @@ def assert_moments_match_exhaustive(table, c0):
         ]
         for got, exact in checks:
             assert got == pytest.approx(float(exact), abs=1e-10, rel=1e-10), name
+
+
+def test_average_moments_match_the_papers_form_on_large_tied_knnl_instances():
+    # Past N = 12 nothing enumerates the null, so the average summary's
+    # moments are checked against the paper's own closed form, evaluated in
+    # exact rationals, on k-NNLs of heavily tied distances with K of 50-300
+    # and multiplicities of 1-50.
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        k = int(rng.integers(50, 301))
+        d = random_tied_matrix(rng, k, high=int(rng.integers(3, 30)))
+        c0 = build_knnl(DistanceMatrix(values=d), int(rng.integers(1, 4)))
+        m = rng.integers(1, 51, size=k)
+        table = table_from_counts(rng.integers(0, m + 1), m)
+        got = moments(table, c0, require_nondegenerate=False).average
+        for field, exact in paper_average_moments(table, c0).items():
+            assert getattr(got, field) == pytest.approx(float(exact), abs=1e-10, rel=1e-10), field
 
 
 def test_moments_match_exhaustive_null_on_balanced_path():
