@@ -11,11 +11,6 @@ from .dataset import (
     DistanceMatrix,
     DistinctTable,
     deduplicate,
-    distance_euclidean,
-    distance_footrule,
-    distance_frobenius_sq,
-    distance_kendall,
-    distance_spearman,
     expand_to_observations,
     load_table,
     pairwise_distances,
@@ -37,7 +32,6 @@ from .graphs import (
     build_knnl,
     build_nnl,
     count_graph_family,
-    enumerate_graph_family,
     read_graph,
     write_graph,
 )
@@ -54,7 +48,15 @@ from .inference import (
     pvalue_analytic,
     solve_kappa,
 )
-from .oracle import materialize_union_graph
+from .oracle import (
+    distance_euclidean,
+    distance_footrule,
+    distance_frobenius_sq,
+    distance_kendall,
+    distance_spearman,
+    enumerate_graph_family,
+    materialize_union_graph,
+)
 from .simulate import (
     BUILTIN_SCENARIOS,
     GeneratorSpec,

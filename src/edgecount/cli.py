@@ -234,6 +234,10 @@ def cmd_verify(args) -> int:
     print(f"knnl vs round-by-round recount: {'FAIL' if found else 'PASS'} "
           f"({args.instances} instances)")
     failures += found
+    found = oracle.verify_kmst(rng, args.instances)
+    print(f"kmst vs sorted Kruskal: {'FAIL' if found else 'PASS'} "
+          f"({args.instances} instances)")
+    failures += found
     if failures:
         raise VerificationError("\n".join(failures[:5]))
     return 0

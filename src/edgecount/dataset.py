@@ -215,66 +215,6 @@ class DistanceMatrix:
         return self.values.shape[0]
 
 
-def _check_ranking(r) -> np.ndarray:
-    arr = np.asarray(r, dtype=np.int64)
-    if arr.ndim != 1:
-        raise InputFormatError("a ranking must be a 1-d integer sequence")
-    if not (np.sort(arr) == np.arange(1, arr.size + 1)).all():
-        raise InputFormatError(f"not a permutation of 1..{arr.size}: {arr.tolist()}")
-    return arr
-
-
-def _check_pair(a, b, check) -> tuple[np.ndarray, np.ndarray]:
-    a, b = check(a), check(b)
-    if a.shape != b.shape:
-        raise InputFormatError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def distance_frobenius_sq(a, b) -> int:
-    """Number of differing entries between two binary adjacency matrices."""
-
-    def check(x):
-        arr = np.asarray(x, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InputFormatError("adjacency matrix must be square")
-        if not np.isin(arr, (0, 1)).all():
-            raise InputFormatError("adjacency matrix must be binary")
-        return arr
-
-    a, b = _check_pair(a, b, check)
-    return int((a != b).sum())
-
-
-def distance_spearman(a, b) -> int:
-    """Sum of squared rank differences between two rankings."""
-    a, b = _check_pair(a, b, _check_ranking)
-    return int(((a - b) ** 2).sum())
-
-
-def distance_footrule(a, b) -> int:
-    """Sum of absolute rank differences between two rankings."""
-    a, b = _check_pair(a, b, _check_ranking)
-    return int(np.abs(a - b).sum())
-
-
-def distance_kendall(a, b) -> int:
-    """Number of discordant pairs between two rankings."""
-    a, b = _check_pair(a, b, _check_ranking)
-    da = np.sign(a[:, None] - a[None, :])
-    db = np.sign(b[:, None] - b[None, :])
-    return int((da * db == -1).sum()) // 2
-
-
-def distance_euclidean(a, b) -> float:
-    """Euclidean distance between two real vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InputFormatError("vectors must be 1-d and of equal length")
-    return float(np.sqrt(((a - b) ** 2).sum()))
-
-
 def _pairwise_sum(x: np.ndarray, elementwise) -> np.ndarray:
     """Pairwise sums over coordinates of elementwise(x_i - x_j).
 

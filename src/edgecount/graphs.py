@@ -5,46 +5,28 @@ all minimum spanning trees, so it keeps ALL tied minimal edges and is
 well-defined on distance matrices with ties, where "the" minimum spanning
 tree is not. A pair is in the NNL when its weight is no more than the
 minimax path weight between its endpoints (within the tie tolerance), and
-one Prim growth gives every minimax path weight. A graph C0 on the K
-distinct values induces a family of observation-level graphs (one
-observation-pair choice per C0 edge crossed with one spanning tree per
-within-value clique); statistics either average over that family in closed
-form or evaluate on its edge union. This module builds C0 and gives its
-degrees and the family cardinality; the statistics weigh the family's
-observation pairs themselves (``stats.summary_weights``).
+one Prim growth gives every minimax path weight. The k-MST instead picks
+one tree per round: the same Prim growth with seeded per-pair keys that
+order equal distances. A graph C0 on the K distinct values induces a
+family of observation-level graphs (one observation-pair choice per C0
+edge crossed with one spanning tree per within-value clique); statistics
+either average over that family in closed form or evaluate on its edge
+union. This module builds C0 and gives its degrees and the family
+cardinality; the statistics weigh the family's observation pairs
+themselves (``stats.summary_weights``), and only the test oracle lists the
+family's members (``oracle.enumerate_graph_family``).
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
 from .dataset import DistanceMatrix, DistinctTable
-from .errors import FamilyTooLargeError, InfeasibleGraphError, InputFormatError
-
-
-class _DisjointSet:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+from .errors import InfeasibleGraphError, InputFormatError
 
 
 @dataclass(frozen=True)
@@ -95,13 +77,6 @@ class SimilarityGraph:
         deg.setflags(write=False)
         return deg
 
-    def is_connected(self) -> bool:
-        ds = _DisjointSet(self.n_nodes)
-        parts = self.n_nodes
-        for u, v in self.edges:
-            parts -= ds.union(u, v)
-        return parts == 1
-
 
 def _as_matrix(dist) -> tuple[np.ndarray, float]:
     if isinstance(dist, DistanceMatrix):
@@ -125,6 +100,58 @@ def _admissible(dist) -> tuple[np.ndarray, float]:
     return work, tol
 
 
+def _prim(work: np.ndarray, key: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grow a minimum spanning forest of the pair weights ``work`` by Prim.
+
+    Returns the nodes in insertion order, each node's parent and the weight
+    of the pair it joined by; the first node of each component has parent
+    -1 and weight inf. Each step adds the outside node with the lightest
+    finite pair into the grown part, and restarts from the lowest-numbered
+    node left when there is none. With ``key``, a symmetric per-pair array,
+    equal weights are ordered by the smaller key and then by the lower pair
+    (u < v, row-major): under that strict order the forest is unique. Each
+    outside node keeps its best pair into the grown part, and for two pairs
+    (t, s) and (p, s) into the same node the lower one is that with t < p.
+    Only comparisons touch the weights, so exact ties stay exact.
+    """
+    n = work.shape[0]
+    order = np.empty(n, dtype=np.intp)
+    parent = np.full(n, -1, dtype=np.intp)
+    joined = np.full(n, np.inf)
+    best = np.full(n, np.inf)  # lightest pair into the grown part; inf once grown
+    best_key = np.full(n, np.inf)
+    outside = np.ones(n, dtype=bool)
+    for i in range(n):
+        t = int(np.argmin(best))
+        x = best[t]
+        if x == np.inf:  # the grown part is a whole component: start another
+            t = int(np.argmax(outside))
+            parent[t] = -1
+        elif key is not None:
+            tied = np.where(best == x, best_key, np.inf)
+            t = int(np.argmin(tied))
+            same = np.flatnonzero(tied == tied[t])
+            if same.size > 1:  # equal keys as well: the lower pair first
+                lo, hi = np.minimum(same, parent[same]), np.maximum(same, parent[same])
+                t = int(same[np.argmin(lo * n + hi)])
+        order[i] = t
+        joined[t] = x
+        outside[t] = False
+        best[t] = np.inf
+        w = work[t]
+        if key is None:
+            closer = outside & (w < best)
+        else:
+            k = key[t]
+            closer = outside & (
+                (w < best) | ((w == best) & ((k < best_key) | ((k == best_key) & (t < parent))))
+            )
+            best_key[closer] = k[closer]
+        best[closer] = w[closer]
+        parent[closer] = t
+    return order, parent, joined
+
+
 def _minimax(work: np.ndarray) -> np.ndarray:
     """Minimax path weights of the graph whose pair weights are ``work``.
 
@@ -132,34 +159,25 @@ def _minimax(work: np.ndarray) -> np.ndarray:
     of the heaviest pair on the path; it is inf between components. Every
     minimum spanning forest holds a minimax path for every pair, so one
     Prim growth gives all of B: when node t joins through parent p at
-    weight x, B[t, s] = max(B[p, s], x) for each node s already grown.
-    B is kept in insertion order, so that step fills one row and one
+    weight x, B[t, s] = max(B[p, s], x) for each node s grown before it.
+    B is filled in insertion order, so that step fills one row and one
     column slice, and is permuted back at the end. Only copies, max and
     min touch the weights, so exact ties stay exact.
     """
     k = work.shape[0]
+    order, parent, joined = _prim(work)
+    position = np.empty(k, dtype=np.intp)
+    position[order] = np.arange(k)
     b = np.full((k, k), np.inf)
-    position = np.empty(k, dtype=np.intp)  # insertion position of each node
-    key = np.full(k, np.inf)  # lightest pair into the grown tree; inf once grown
-    parent = np.zeros(k, dtype=np.intp)
-    outside = np.ones(k, dtype=bool)
-    for i in range(k):
-        t = int(np.argmin(key))
-        x = key[t]
-        if x == np.inf:  # the grown part is a whole component: start another
-            t = int(np.argmax(outside))
-        position[t] = i
-        outside[t] = False
-        key[t] = np.inf
+    for i in range(1, k):
+        t = order[i]
+        x = joined[t]
         if x != np.inf:
             p = position[parent[t]]
             row = np.maximum(b[p, :i], x)
             row[p] = x  # the pair (t, p) itself; b's diagonal stays inf
             b[i, :i] = row
             b[:i, i] = row
-        closer = outside & (work[t] < key)
-        key[closer] = work[t, closer]
-        parent[closer] = t
     return b[np.ix_(position, position)]
 
 
@@ -223,44 +241,42 @@ def build_knnl(dist, k: int) -> SimilarityGraph:
 
 
 def build_kmst(dist, k: int, seed: int) -> SimilarityGraph:
-    """Union of k successive MSTs with seeded tie-breaking.
+    """Union of k successive minimum spanning trees with seeded tie-breaking.
 
-    Kruskal per round; edges of equal weight are ordered by a seeded random
-    key, so different seeds can return different (all minimal) trees when
-    the distances have ties. Rounds exclude earlier rounds' edges. The
+    Each round draws one key per pair u < v, in row-major order (the stream
+    of ``rng.random(K(K-1)/2)``), and takes the minimum spanning tree under
+    the order (distance, key, pair): a Prim growth on a working copy of the
+    distances. That order is strict, so the tree is unique, and it is the
+    tree Kruskal's sweep over the pairs sorted that way would build. Equal
+    distances are thus ordered by the seeded keys, and different seeds can
+    return different (all minimal) trees when the distances have ties. The
     controllable non-determinism is the point: it exposes how much
-    graph-based statistics move across equally valid MSTs.
+    graph-based statistics move across equally valid trees. Each round's
+    pairs are inadmissible in later rounds, as are non-finite distances; a
+    round whose admissible pairs do not span the values raises
+    InfeasibleGraphError. The cost is O(k * K^2) time and two K x K float64
+    arrays.
     """
     if k < 1:
         raise InputFormatError("k must be >= 1")
-    work, _ = _as_matrix(dist)
+    work, _ = _admissible(dist)
     n = work.shape[0]
-    if n < 2:
-        raise InputFormatError("need at least two distinct values to build a graph")
     rng = np.random.default_rng(seed)
-    iu, jv = np.triu_indices(n, k=1)
-    weights = work[iu, jv]
-    used = np.zeros(len(iu), dtype=bool)
-    edges: set[tuple[int, int]] = set()
-    for _ in range(k):
-        order = np.lexsort((rng.random(len(iu)), weights))
-        ds = _DisjointSet(n)
-        picked = []
-        for e in order:
-            if used[e]:
-                continue
-            if ds.union(int(iu[e]), int(jv[e])):
-                picked.append(e)
-                if len(picked) == n - 1:
-                    break
-        if len(picked) < n - 1:
+    key = np.zeros_like(work)
+    rounds = []
+    for round_index in range(k):
+        for u in range(n - 1):
+            rng.random(out=key[u, u + 1:])
+            key[u + 1:, u] = key[u, u + 1:]
+        order, parent, _ = _prim(work, key)
+        child = order[1:]
+        if (parent[child] < 0).any():
             raise InfeasibleGraphError(
-                f"no spanning tree left after excluding earlier rounds (k={k} too large)"
+                f"round {round_index + 1} of {k} has no spanning tree of admissible pairs left"
             )
-        for e in picked:
-            used[e] = True
-            edges.add((int(iu[e]), int(jv[e])))
-    return SimilarityGraph.from_edges(n, edges)
+        work[child, parent[child]] = work[parent[child], child] = np.inf
+        rounds.append(np.column_stack((child, parent[child])))
+    return SimilarityGraph.from_edges(n, np.concatenate(rounds))
 
 
 def count_graph_family(c0: SimilarityGraph, table: DistinctTable) -> int:
@@ -268,80 +284,15 @@ def count_graph_family(c0: SimilarityGraph, table: DistinctTable) -> int:
 
     One observation pair per C0 edge (m_u * m_v choices) crossed with one
     labeled spanning tree per within-value clique (m_u ** (m_u - 2) by
-    Cayley's formula; a single observation contributes factor 1).
+    Cayley's formula; a single observation contributes factor 1). Each
+    value u is a factor of its deg_u edges, so the size is the product of
+    m_u ** (deg_u + max(m_u - 2, 0)) over the values.
     """
     if c0.n_nodes != table.n_values:
         raise InputFormatError("graph and table disagree on the number of distinct values")
-    m = [int(x) for x in table.multiplicity]
-    total = 1
-    for u, v in c0.edges:
-        total *= m[u] * m[v]
-    for mu in m:
-        total *= mu ** max(mu - 2, 0)
-    return total
-
-
-def _prufer_tree(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    """Decode a Prufer sequence over nodes 0..n-1 into its labeled tree."""
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[leaf] -= 1
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u, v = (i for i in range(n) if degree[i] == 1)
-    edges.append((min(u, v), max(u, v)))
-    return edges
-
-
-def enumerate_graph_family(c0: SimilarityGraph, table: DistinctTable, cap: int = 10**6):
-    """Yield every observation-level graph of the family exactly once.
-
-    Graphs come out as sorted tuples of observation-index pairs. Spanning
-    trees on within-value cliques are enumerated via Prufer sequences, so
-    each of the m_u ** (m_u - 2) trees appears exactly once with no dedup
-    bookkeeping.
-    """
-    total = count_graph_family(c0, table)
-    if total > cap:
-        raise FamilyTooLargeError(f"family has {total} graphs, cap is {cap}")
-    members = [np.nonzero(table.value_index == u)[0] for u in range(table.n_values)]
-
-    edge_choices = []
-    for u, v in c0.edges:
-        edge_choices.append([
-            (min(int(a), int(b)), max(int(a), int(b)))
-            for a in members[u]
-            for b in members[v]
-        ])
-
-    tree_choices = []
-    for obs in members:
-        mu = len(obs)
-        if mu == 1:
-            continue
-        trees = []
-        for seq in product(range(mu), repeat=max(mu - 2, 0)):
-            local = _prufer_tree(seq, mu) if mu > 2 else [(0, 1)]
-            trees.append(tuple(
-                (min(int(obs[a]), int(obs[b])), max(int(obs[a]), int(obs[b])))
-                for a, b in local
-            ))
-        tree_choices.append(trees)
-
-    for between in product(*edge_choices):
-        for within in product(*tree_choices):
-            edges = list(between)
-            for tree in within:
-                edges.extend(tree)
-            yield tuple(sorted(edges))
+    m = table.multiplicity
+    exponents = c0.degrees + np.maximum(m - 2, 0)
+    return math.prod(int(mu) ** int(e) for mu, e in zip(m, exponents))
 
 
 # --- graph file format ----------------------------------------------------

@@ -31,8 +31,7 @@ from .stats import (
     StatisticValues,
     SummaryMoments,
     SummaryStatistics,
-    evaluate_statistics,
-    moments,
+    moments_from_weights,
     summary_weights,
 )
 
@@ -304,7 +303,8 @@ def _third_moment_sum(c0: SimilarityGraph, m: np.ndarray) -> int:
 
 def condition_diagnostics(table: DistinctTable, c0: SimilarityGraph) -> Diagnostics:
     """Evaluate the finite-sample analogues of the asymptotic conditions."""
-    union = summary_weights(table.multiplicity, c0)["union"]
+    weights = summary_weights(table.multiplicity, c0)
+    union = weights["union"]
     n = table.n_total
     k = table.n_values
     m = table.multiplicity.astype(np.float64)
@@ -346,7 +346,7 @@ def condition_diagnostics(table: DistinctTable, c0: SimilarityGraph) -> Diagnost
                 f"third-moment sum is large ({name} summary): normal approximation "
                 "may be poor; prefer permutation p-values"
             )
-    mset = moments(table, c0, require_nondegenerate=False)
+    mset = moments_from_weights(table, weights)
     for name in SUMMARIES:
         for stat in mset.summary(name).degenerate_statistics():
             warnings.append(f"null variance of {stat} ({name} summary) is zero")
@@ -530,8 +530,9 @@ def analyze(
     timestamp: str | None = None,
 ) -> TestReport:
     """Full distinct-value pipeline: moments, statistics, p-values, report."""
-    mset = moments(table, c0)
-    values = evaluate_statistics(table, c0, mset, kappas)
+    kernel = StatisticKernel(table, c0, kappas=kappas)
+    mset = kernel.mset
+    values = kernel.evaluate_one(table.counts1)
     perm = None
     if n_perm:
         perm = permutation_pvalues(table, c0, mset, kappas, n_perm, seed, threads)
@@ -555,7 +556,7 @@ def analyze(
         "graph_rule": graph_rule or "user-supplied",
         "graph_edges": c0.n_edges,
         "graph_family_size": str(count_graph_family(c0, table)),
-        "union_graph_size": summary_weights(table.multiplicity, c0)["union"].total,
+        "union_graph_size": kernel.weights["union"].total,
     }
     return TestReport(
         meta=meta,
@@ -587,8 +588,9 @@ def analyze_fixed_graph(
     # A fixed graph is the all-multiplicities-one table, whose union block
     # is the plain statistics on that graph (as in pergraph_statistics).
     table = DistinctTable(labels=labels, value_index=np.arange(labels.size), n_values=labels.size)
-    mset = moments(table, graph)
-    stats = evaluate_statistics(table, graph, mset, kappas).union
+    kernel = StatisticKernel(table, graph, kappas=kappas)
+    mset = kernel.mset
+    stats = kernel.evaluate_one(table.counts1).union
     perm_block = None
     if n_perm:
         perm_block = permutation_pvalues(table, graph, mset, kappas, n_perm, seed, threads)["union"]

@@ -9,11 +9,12 @@ the end run both sides on random instances.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -24,14 +25,140 @@ from .errors import (
     InfeasibleGraphError,
     InputFormatError,
 )
-from .graphs import (
-    SimilarityGraph,
-    build_knnl,
-    build_nnl,
-    count_graph_family,
-    enumerate_graph_family,
-)
+from .graphs import SimilarityGraph, build_kmst, build_knnl, build_nnl, count_graph_family
 from .stats import SUMMARIES, ExtendedCounts, MomentSet, extended_counts, moments
+
+
+# --- scalar distances between two payloads ---------------------------------
+
+
+def _check_ranking(r) -> np.ndarray:
+    arr = np.asarray(r, dtype=np.int64)
+    if arr.ndim != 1:
+        raise InputFormatError("a ranking must be a 1-d integer sequence")
+    if not (np.sort(arr) == np.arange(1, arr.size + 1)).all():
+        raise InputFormatError(f"not a permutation of 1..{arr.size}: {arr.tolist()}")
+    return arr
+
+
+def _check_pair(a, b, check) -> tuple[np.ndarray, np.ndarray]:
+    a, b = check(a), check(b)
+    if a.shape != b.shape:
+        raise InputFormatError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def distance_frobenius_sq(a, b) -> int:
+    """Number of differing entries between two binary adjacency matrices."""
+
+    def check(x):
+        arr = np.asarray(x, dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise InputFormatError("adjacency matrix must be square")
+        if not np.isin(arr, (0, 1)).all():
+            raise InputFormatError("adjacency matrix must be binary")
+        return arr
+
+    a, b = _check_pair(a, b, check)
+    return int((a != b).sum())
+
+
+def distance_spearman(a, b) -> int:
+    """Sum of squared rank differences between two rankings."""
+    a, b = _check_pair(a, b, _check_ranking)
+    return int(((a - b) ** 2).sum())
+
+
+def distance_footrule(a, b) -> int:
+    """Sum of absolute rank differences between two rankings."""
+    a, b = _check_pair(a, b, _check_ranking)
+    return int(np.abs(a - b).sum())
+
+
+def distance_kendall(a, b) -> int:
+    """Number of discordant pairs between two rankings."""
+    a, b = _check_pair(a, b, _check_ranking)
+    da = np.sign(a[:, None] - a[None, :])
+    db = np.sign(b[:, None] - b[None, :])
+    return int((da * db == -1).sum()) // 2
+
+
+def distance_euclidean(a, b) -> float:
+    """Euclidean distance between two real vectors."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise InputFormatError("vectors must be 1-d and of equal length")
+    return float(np.sqrt(((a - b) ** 2).sum()))
+
+
+# --- the induced graph family, member by member ----------------------------
+
+
+def _prufer_tree(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
+    """Decode a Prufer sequence over nodes 0..n-1 into its labeled tree."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [i for i in range(n) if degree[i] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[leaf] -= 1
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u, v = (i for i in range(n) if degree[i] == 1)
+    edges.append((min(u, v), max(u, v)))
+    return edges
+
+
+def enumerate_graph_family(c0: SimilarityGraph, table: DistinctTable, cap: int = 10**6):
+    """Yield every observation-level graph of the family exactly once.
+
+    Graphs come out as sorted tuples of observation-index pairs. Spanning
+    trees on within-value cliques are enumerated via Prufer sequences, so
+    each of the m_u ** (m_u - 2) trees appears exactly once with no dedup
+    bookkeeping.
+    """
+    total = count_graph_family(c0, table)
+    if total > cap:
+        raise FamilyTooLargeError(f"family has {total} graphs, cap is {cap}")
+    members = [np.nonzero(table.value_index == u)[0] for u in range(table.n_values)]
+
+    edge_choices = []
+    for u, v in c0.edges:
+        edge_choices.append([
+            (min(int(a), int(b)), max(int(a), int(b)))
+            for a in members[u]
+            for b in members[v]
+        ])
+
+    tree_choices = []
+    for obs in members:
+        mu = len(obs)
+        if mu == 1:
+            continue
+        trees = []
+        for seq in product(range(mu), repeat=max(mu - 2, 0)):
+            local = _prufer_tree(seq, mu) if mu > 2 else [(0, 1)]
+            trees.append(tuple(
+                (min(int(obs[a]), int(obs[b])), max(int(obs[a]), int(obs[b])))
+                for a, b in local
+            ))
+        tree_choices.append(trees)
+
+    for between in product(*edge_choices):
+        for within in product(*tree_choices):
+            edges = list(between)
+            for tree in within:
+                edges.extend(tree)
+            yield tuple(sorted(edges))
+
+
+# --- the permutation null, count vector by count vector --------------------
 
 
 def enumerate_count_vectors(multiplicity, n1: int):
@@ -408,6 +535,45 @@ def knnl_by_rounds(dist_values, k: int, tol: float = 0.0) -> tuple[tuple[int, in
     return tuple(sorted(taken))
 
 
+def kmst_by_kruskal(dist_values, k: int, seed: int) -> tuple[tuple[int, int], ...]:
+    """The k-MST edge set by Kruskal's sweep over the sorted pairs.
+
+    Each round draws one seeded key per pair u < v, in row-major order,
+    sorts the pairs by (distance, key) with equal entries left in pair
+    order, and joins every pair not taken by an earlier round that links
+    two components. Non-finite distances are inadmissible; a round that
+    cannot span the values raises InfeasibleGraphError.
+    """
+    d = np.asarray(dist_values, dtype=np.float64)
+    n = d.shape[0]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    weights = [float(d[u, v]) for u, v in pairs]
+    rng = np.random.default_rng(seed)
+    taken: set[tuple[int, int]] = set()
+    for round_index in range(k):
+        keys = rng.random(len(pairs)).tolist()
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        picked = []
+        for e in sorted(range(len(pairs)), key=lambda e: (weights[e], keys[e])):
+            u, v = pairs[e]
+            if pairs[e] in taken or not math.isfinite(weights[e]):
+                continue
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[rv] = ru
+                picked.append(pairs[e])
+        if len(picked) < n - 1:
+            raise InfeasibleGraphError(f"round {round_index + 1} of {k} cannot span the values")
+        taken.update(picked)
+    return tuple(sorted(taken))
+
+
 # --- random small instances for oracle-vs-closed-form comparisons ----------
 
 
@@ -579,6 +745,23 @@ def verify_knnl(rng: np.random.Generator, instances: int) -> list[str]:
         if have != want:
             failures.append(
                 f"{k}-nnl {have} != round-by-round recount {want} "
+                f"for distances {d.tolist()}"
+            )
+    return failures
+
+
+def verify_kmst(rng: np.random.Generator, instances: int) -> list[str]:
+    """The 1- to 3-MST against Kruskal's sorted sweep, seed by seed."""
+    failures = []
+    for _ in range(instances):
+        d = random_tied_matrix(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)))
+        k = int(rng.integers(1, 4))
+        seed = int(rng.integers(2**32))
+        have = _edges_or_infeasible(lambda: build_kmst(d, k, seed).edges)
+        want = _edges_or_infeasible(lambda: kmst_by_kruskal(d, k, seed))
+        if have != want:
+            failures.append(
+                f"{k}-mst (seed {seed}) {have} != sorted Kruskal {want} "
                 f"for distances {d.tolist()}"
             )
     return failures

@@ -293,8 +293,11 @@ class WithinForms:
     Count matrices are K x B: one column per labeling.
     """
 
-    def __init__(self, multiplicity, c0: SimilarityGraph) -> None:
-        weights = summary_weights(multiplicity, c0)
+    def __init__(
+        self, multiplicity, c0: SimilarityGraph, weights: dict[str, SummaryWeights] | None = None
+    ) -> None:
+        if weights is None:
+            weights = summary_weights(multiplicity, c0)
         m_int = np.asarray(multiplicity, dtype=np.int64)
         k = m_int.size
         self._multiplicity = m_int
@@ -430,19 +433,23 @@ def moments(
     raises a degenerate-null error naming the offending statistic; pass
     False to inspect the raw moments anyway.
     """
-    weights = summary_weights(table.multiplicity, c0)
+    mset = moments_from_weights(table, summary_weights(table.multiplicity, c0))
+    if require_nondegenerate:
+        mset.require_nondegenerate()
+    return mset
+
+
+def moments_from_weights(table: DistinctTable, weights: dict[str, SummaryWeights]) -> MomentSet:
+    """The raw ``moments`` from the ``summary_weights`` of the table and its C0."""
     if table.n_total < 4:
         raise ValueError("need at least 4 observations for null moments")
     consts = NullConstants.from_sizes(table.n1, table.n2)
-    mset = MomentSet(
+    return MomentSet(
         n1=table.n1,
         n2=table.n2,
         constants=consts,
         **{name: _shape_moments(w, table.n1, table.n2, consts, name) for name, w in weights.items()},
     )
-    if require_nondegenerate:
-        mset.require_nondegenerate()
-    return mset
 
 
 def mixture_variance(moms: SummaryMoments, p: float) -> float:
@@ -470,12 +477,13 @@ def check_kappas(kappas) -> None:
 class StatisticKernel:
     """The one map from per-value sample-1 counts to every statistic.
 
-    Built once per instance (the moments, the kappas and the sparse within
-    forms), then applied either to one labeling (``evaluate_one``, which
-    ``evaluate_statistics``, ``pergraph_statistics`` and the observed side
-    of ``permutation_pvalues`` use) or to a batch of draws (``evaluate``,
-    rows of a B x K matrix, which is what the permutation engine does). Both
-    share one standardization step, so each statistic has one formula.
+    Built once per instance (the summary weights, the moments, the kappas
+    and the sparse within forms), then applied either to one labeling
+    (``evaluate_one``, which ``analyze``, ``evaluate_statistics``,
+    ``pergraph_statistics`` and the observed side of ``permutation_pvalues``
+    use) or to a batch of draws (``evaluate``, rows of a B x K matrix, which
+    is what the permutation engine does). Both share one standardization
+    step, so each statistic has one formula.
     """
 
     def __init__(
@@ -485,14 +493,15 @@ class StatisticKernel:
         mset: MomentSet | None = None,
         kappas: tuple[float, ...] = (),
     ) -> None:
+        self.weights = summary_weights(table.multiplicity, c0)
         if mset is None:
-            mset = moments(table, c0)
+            mset = moments_from_weights(table, self.weights)
         mset.require_nondegenerate()
         check_kappas(kappas)
         self.mset = mset
         self.kappas = tuple(kappas)
         self.n_values = table.n_values
-        self._within = WithinForms(table.multiplicity, c0)
+        self._within = WithinForms(table.multiplicity, c0, self.weights)
         self._weight = mset.pooled_weight
 
     def _standardize(self, name: str, within1, within2) -> dict:

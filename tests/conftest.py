@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
-from edgecount import DistinctTable
+from edgecount import DistinctTable, SimilarityGraph
 
 # A five-distinct-value instance with tied integer distances. Its
 # nearest-neighbor link, the number of minimum spanning trees, and the size
@@ -41,6 +43,13 @@ def table_from_counts(counts1, multiplicity) -> DistinctTable:
         value_index=np.asarray(value_index, dtype=np.int64),
         n_values=len(multiplicity),
     )
+
+
+def is_connected(graph: SimilarityGraph) -> bool:
+    """Whether the graph has one connected component."""
+    u, v = graph.edge_array.T
+    adjacency = coo_array((np.ones(u.size), (u, v)), shape=(graph.n_nodes, graph.n_nodes))
+    return connected_components(adjacency, directed=False)[0] == 1
 
 
 def random_counts1(rng: np.random.Generator, multiplicity, interior: bool = True):

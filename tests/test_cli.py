@@ -538,12 +538,13 @@ def test_verify_passes_against_the_oracles(capsys):
     elapsed = time.monotonic() - start
     assert code == 0 and err == ""
     lines = out.strip().splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert all("PASS" in line for line in lines)
     assert "counts vs enumerated family/union" in lines[0]
     assert "moments vs exhaustive permutations" in lines[1]
     assert "nnl vs union of all MSTs" in lines[2]
     assert lines[3] == "knnl vs round-by-round recount: PASS (10 instances)"
+    assert lines[4] == "kmst vs sorted Kruskal: PASS (10 instances)"
     assert elapsed < 60.0
 
 
@@ -580,3 +581,20 @@ def test_verify_catches_an_injected_knnl_error(capsys, monkeypatch):
     assert "nnl vs union of all MSTs: PASS" in out
     assert "knnl vs round-by-round recount: FAIL (3 instances)" in out
     assert "round-by-round recount" in err
+
+
+def test_verify_catches_an_injected_kmst_error(capsys, monkeypatch):
+    real_build_kmst = oracle.build_kmst
+
+    def without_last_edge(dist, k, seed):
+        graph = real_build_kmst(dist, k, seed)
+        return dataclasses.replace(graph, edges=graph.edges[:-1])
+
+    monkeypatch.setattr(oracle, "build_kmst", without_last_edge)
+    code, out, err = run_cli(capsys, [
+        "verify", "--instances", "3", "--max-n", "8", "--seed", "1",
+    ])
+    assert code == 1
+    assert "knnl vs round-by-round recount: PASS (3 instances)" in out
+    assert "kmst vs sorted Kruskal: FAIL (3 instances)" in out
+    assert "sorted Kruskal" in err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,14 +19,18 @@ from edgecount import (
     build_nnl,
     count_graph_family,
     enumerate_graph_family,
+    expand_to_observations,
+    load_table,
     materialize_union_graph,
+    pairwise_distances,
     read_graph,
     write_graph,
 )
-from edgecount.graphs import _prufer_tree
 from edgecount.oracle import (
     _edges_or_infeasible,
+    _prufer_tree,
     all_msts,
+    kmst_by_kruskal,
     knnl_by_rounds,
     mst_union,
     mst_weight_prim,
@@ -38,6 +43,7 @@ from conftest import (
     FIVE_VALUE_FAMILY_SIZE,
     FIVE_VALUE_MULTIPLICITY,
     FIVE_VALUE_NNL_EDGES,
+    is_connected,
     table_from_counts,
 )
 
@@ -142,7 +148,7 @@ def test_nnl_without_ties_is_tree_iff_unique_mst():
         assert len(trees) == 1
         assert nnl.edges == trees[0]
         assert nnl.n_edges == k - 1
-        assert nnl.is_connected()
+        assert is_connected(nnl)
 
 
 def test_nnl_is_invariant_to_node_relabeling():
@@ -255,7 +261,7 @@ def test_nnl_with_disconnecting_exclusions_is_the_union_of_minimum_spanning_fore
         masked = np.where(excluded, np.inf, d)
         got = build_nnl(masked)
         assert set(got.edges) == forests
-        assert got.is_connected() == (len(set(group.tolist())) == 1)
+        assert is_connected(got) == (len(set(group.tolist())) == 1)
         assert got.edges == knnl_by_rounds(masked, 1)
         with pytest.raises(InfeasibleGraphError, match="no admissible pair remains"):
             build_nnl(np.full((n, n), np.inf))
@@ -313,6 +319,67 @@ def test_kmst_infeasible_k_raises():
     d = np.array([[0, 1], [1, 0]])
     with pytest.raises(InfeasibleGraphError):
         build_kmst(DistanceMatrix(values=d), 2, seed=0)
+
+
+def test_kmst_never_spans_through_an_infinite_distance():
+    with pytest.raises(InfeasibleGraphError):
+        build_kmst(np.array([[0, np.inf], [np.inf, 0]]), 1, seed=0)
+    # the finite pairs span: the infinite one is never needed
+    d = np.array([[0, 1, np.inf], [1, 0, 1], [np.inf, 1, 0]])
+    assert build_kmst(d, 1, seed=0).edges == ((0, 1), (1, 2))
+    with pytest.raises(InfeasibleGraphError):
+        build_kmst(d, 2, seed=0)
+
+
+def test_kmst_equals_the_sorted_kruskal_sweep_on_tied_matrices():
+    rng = np.random.default_rng(53)
+    outcomes = []
+    for _ in range(100):
+        n = int(rng.integers(2, 31))
+        d = random_tied_matrix(rng, n, high=int(rng.integers(1, 4)))
+        k = int(rng.integers(1, 4))
+        for seed in (0, 1, int(rng.integers(2**32))):
+            have = _edges_or_infeasible(lambda: build_kmst(d, k, seed).edges)
+            assert have == _edges_or_infeasible(lambda: kmst_by_kruskal(d, k, seed))
+            outcomes.append(have == "infeasible")
+    assert len(outcomes) == 300
+    assert any(outcomes) and not all(outcomes)  # some rounds run dry, most do not
+
+
+def test_kmst_orders_equal_keys_by_pair_as_the_stable_sort_does(monkeypatch):
+    # Keys from three values tie often; the sweep then keeps pair order.
+    real_default_rng = np.random.default_rng
+
+    class CoarseKeys:
+        def __init__(self, seed):
+            self._rng = real_default_rng(seed)
+
+        def random(self, size=None, out=None):
+            keys = np.floor(self._rng.random(size, out=out) * 3) / 4
+            if out is not None:
+                out[...] = keys
+            return keys
+
+    monkeypatch.setattr(np.random, "default_rng", CoarseKeys)
+    rng = real_default_rng(59)
+    for trial in range(60):
+        d = random_tied_matrix(rng, int(rng.integers(3, 12)), high=int(rng.integers(1, 3)))
+        k = int(rng.integers(1, 3))
+        have = _edges_or_infeasible(lambda: build_kmst(d, k, trial).edges)
+        assert have == _edges_or_infeasible(lambda: kmst_by_kruskal(d, k, trial))
+
+
+def test_kmst_equals_the_sorted_kruskal_sweep_on_the_bundled_observations():
+    table = load_table(Path(__file__).resolve().parents[1] / "data" / "synthetic_networks.csv", "network")
+    obs = expand_to_observations(pairwise_distances(table), table.value_index)
+    assert obs.shape == (120, 120)
+    trees = set()
+    for seed in range(5):
+        graph = build_kmst(obs, 3, seed)
+        assert graph.edges == kmst_by_kruskal(obs, 3, seed)
+        assert graph.n_edges == 3 * 119
+        trees.add(graph.edges)
+    assert len(trees) == 5  # repeats tie at distance 0, so the seed matters
 
 
 # --- union graph -------------------------------------------------------------

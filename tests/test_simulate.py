@@ -29,7 +29,7 @@ from edgecount.simulate import (
     sample_restricted_uniform,
     statistic_keys,
 )
-from edgecount.dataset import distance_footrule, distance_kendall, distance_spearman
+from edgecount.oracle import distance_footrule, distance_kendall, distance_spearman
 
 
 # ---------------------------------------------------------------------------

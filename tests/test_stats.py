@@ -17,15 +17,11 @@ from hypothesis import strategies as st
 
 from edgecount.dataset import DistanceMatrix, DistinctTable
 from edgecount.errors import DegenerateNullError, InputFormatError
-from edgecount.graphs import (
-    SimilarityGraph,
-    build_knnl,
-    build_nnl,
-    enumerate_graph_family,
-)
+from edgecount.graphs import SimilarityGraph, build_knnl, build_nnl
 from edgecount.oracle import (
     _scan_counts,
     average_over_family,
+    enumerate_graph_family,
     enumerate_permutations,
     generalized_statistic_quadratic,
     materialize_union_graph,
