@@ -23,7 +23,7 @@ from edgecount.dataset import deduplicate, pairwise_distances
 from edgecount.graphs import build_nnl
 from edgecount.inference import analytic_pvalue_block, permutation_pvalues
 from edgecount.simulate import MallowsModel
-from edgecount.stats import evaluate_statistics, moments
+from edgecount.stats import StatisticKernel
 
 CENTER_1 = (1, 2, 3, 4, 5)
 CENTER_2 = (1, 4, 3, 2, 5)
@@ -37,10 +37,9 @@ def one_run(model1, model2, n1, n2, child, n_perm):
     labels = np.r_[np.ones(n1, dtype=np.int64), np.full(n2, 2)]
     table = deduplicate(payloads, labels, kind="ranking")
     c0 = build_nnl(pairwise_distances(table, metric="spearman"))
-    mset = moments(table, c0)
-    values = evaluate_statistics(table, c0, mset, kappas=KAPPAS)
-    perm = permutation_pvalues(table, c0, mset, kappas=KAPPAS,
-                               n_perm=n_perm, seed=int(rng.integers(2**63)))
+    kernel = StatisticKernel(table, c0, kappas=KAPPAS)
+    values = kernel.evaluate_one()
+    perm = permutation_pvalues(kernel, n_perm=n_perm, seed=int(rng.integers(2**63)))
     row = {}
     for name in ("average", "union"):
         ana = analytic_pvalue_block(values.summary(name))

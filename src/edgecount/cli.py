@@ -36,14 +36,24 @@ from .inference import DEFAULT_KAPPAS, analyze, analyze_fixed_graph, condition_d
 from .simulate import BUILTIN_SCENARIOS, built_in_scenario, parse_scenario_file, run_scenario
 
 
-def _default_threads() -> int:
-    env = os.environ.get("EDGECOUNT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputFormatError("EDGECOUNT_THREADS must be an integer") from None
-    return os.cpu_count() or 1
+def _thread_count(flag: int | None) -> int:
+    """Worker threads: ``--threads``, else ``EDGECOUNT_THREADS``, else the CPU count.
+
+    A count from the flag or the variable must be an integer >= 1.
+    """
+    if flag is not None:
+        source, text = "--threads", str(flag)
+    elif os.environ.get("EDGECOUNT_THREADS"):
+        source, text = "EDGECOUNT_THREADS", os.environ["EDGECOUNT_THREADS"]
+    else:
+        return os.cpu_count() or 1
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise InputFormatError(f"{source} must be an integer >= 1, got {text!r}")
+    return threads
 
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
@@ -98,22 +108,25 @@ def _timestamp(args) -> str | None:
 
 
 def cmd_test(args) -> int:
+    if args.perm < 0:
+        raise InputFormatError(f"--perm must be >= 0, got {args.perm}")
+    threads = _thread_count(args.threads)
     dist, table = _load_instance(args)
     rule, k = _graph_rule(args)
     kappas = tuple(args.kappa)
-    n_perm = args.perm if args.perm > 0 else None
+    n_perm = args.perm or None
     if rule == "nnl":
         c0 = build_knnl(dist, k)
         report = analyze(
             table, c0, kappas=kappas, n_perm=n_perm, seed=args.seed,
-            threads=args.threads, graph_rule=f"nnl k={k}", timestamp=_timestamp(args),
+            threads=threads, graph_rule=f"nnl k={k}", timestamp=_timestamp(args),
         )
     else:
         obs_matrix = expand_to_observations(dist, table.value_index)
         graph = build_kmst(obs_matrix, k, seed=args.seed)
         report = analyze_fixed_graph(
             graph, table.labels, kappas=kappas, n_perm=n_perm, seed=args.seed,
-            threads=args.threads, graph_rule=f"mst k={k} seed={args.seed}",
+            threads=threads, graph_rule=f"mst k={k} seed={args.seed}",
             timestamp=_timestamp(args),
         )
     if args.output:
@@ -305,8 +318,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-            args.threads = _default_threads()
         return args.func(args)
     except DegenerateNullError as exc:
         print(f"degenerate null: {exc}", file=sys.stderr)

@@ -26,7 +26,6 @@ from .errors import InputFormatError
 from .graphs import SimilarityGraph, count_graph_family
 from .stats import (
     SUMMARIES,
-    MomentSet,
     StatisticKernel,
     StatisticValues,
     SummaryMoments,
@@ -200,30 +199,26 @@ def _sampler_method(n_total: int, n_values: int) -> str:
 
 
 def permutation_pvalues(
-    table: DistinctTable,
-    c0: SimilarityGraph,
-    mset: MomentSet | None = None,
-    kappas: tuple[float, ...] = (),
-    n_perm: int = 10000,
-    seed: int = 0,
-    threads: int = 1,
+    kernel: StatisticKernel, n_perm: int = 10000, seed: int = 0, threads: int = 1
 ) -> dict:
     """Monte-Carlo permutation p-values for every statistic, both summaries.
 
-    Uniform label assignments are sampled through their per-value count
-    vectors (multivariate hypergeometric), and the counts are sparse
-    quadratic forms in those vectors, so B draws cost O(B (K + |C0|)) time
-    and O(B K) memory. The add-one estimator (1 + hits)/(1 + B) keeps every
-    p-value valid and positive. Draws are generated in chunks whose size
-    depends only on K, with one child seed per chunk, so the result depends
-    only on (seed, B, K) for a given instance, not on the thread count.
-    Each worker thread holds one chunk, so ``threads`` multiplies the
-    memory bound.
+    ``kernel`` is the instance's ``StatisticKernel``: its table, moments and
+    kappas fix the instance, and it evaluates the observed labeling and
+    every draw. Uniform label assignments are sampled through their
+    per-value count vectors (multivariate hypergeometric), and the counts
+    are sparse quadratic forms in those vectors, so B draws cost
+    O(B (K + |C0|)) time and O(B K) memory. The add-one estimator
+    (1 + hits)/(1 + B) keeps every p-value valid and positive. Draws are
+    generated in chunks whose size depends only on K, with one child seed
+    per chunk, so the result depends only on (seed, B, K) for a given
+    instance, not on the thread count. Each worker thread holds one chunk,
+    so ``threads`` multiplies the memory bound.
     """
     if n_perm < 1:
         raise InputFormatError("need at least one permutation")
-    kernel = StatisticKernel(table, c0, mset, kappas)
-    observed = kernel.evaluate_one(table.counts1)
+    table = kernel.table
+    observed = kernel.evaluate_one()
 
     m = [int(x) for x in table.multiplicity]
     n1 = table.n1
@@ -532,10 +527,10 @@ def analyze(
     """Full distinct-value pipeline: moments, statistics, p-values, report."""
     kernel = StatisticKernel(table, c0, kappas=kappas)
     mset = kernel.mset
-    values = kernel.evaluate_one(table.counts1)
+    values = kernel.evaluate_one()
     perm = None
     if n_perm:
-        perm = permutation_pvalues(table, c0, mset, kappas, n_perm, seed, threads)
+        perm = permutation_pvalues(kernel, n_perm, seed, threads)
     blocks = []
     for name in SUMMARIES:
         stats = values.summary(name)
@@ -590,10 +585,10 @@ def analyze_fixed_graph(
     table = DistinctTable(labels=labels, value_index=np.arange(labels.size), n_values=labels.size)
     kernel = StatisticKernel(table, graph, kappas=kappas)
     mset = kernel.mset
-    stats = kernel.evaluate_one(table.counts1).union
+    stats = kernel.evaluate_one().union
     perm_block = None
     if n_perm:
-        perm_block = permutation_pvalues(table, graph, mset, kappas, n_perm, seed, threads)["union"]
+        perm_block = permutation_pvalues(kernel, n_perm, seed, threads)["union"]
     block = SummaryBlock(
         name="fixed-graph",
         statistics=stats,

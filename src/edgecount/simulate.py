@@ -21,10 +21,10 @@ from itertools import permutations
 import numpy as np
 
 from .dataset import deduplicate, pairwise_distances
-from .errors import DegenerateNullError, FamilyTooLargeError, InputFormatError
+from .errors import DegenerateNullError, InputFormatError
 from .graphs import build_kmst, build_knnl
 from .inference import DEFAULT_KAPPAS, analytic_pvalue_block
-from .stats import SUMMARIES, check_kappas, evaluate_statistics, moments
+from .stats import SUMMARIES, StatisticKernel, check_kappas
 
 MAX_OBJECTS = 8
 
@@ -280,8 +280,7 @@ def _replicate_pvalues(config: ScenarioConfig, rng: np.random.Generator, gen1, g
         graph = build_knnl(dist, config.graph_k)
     else:
         graph = build_kmst(dist, config.graph_k, seed=int(rng.integers(2**63)))
-    mset = moments(table, graph)
-    values = evaluate_statistics(table, graph, mset, config.kappas)
+    values = StatisticKernel(table, graph, kappas=config.kappas).evaluate_one()
     out = {}
     for name in SUMMARIES:
         block = analytic_pvalue_block(values.summary(name))
@@ -313,7 +312,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     for r in range(config.replicates):
         try:
             pvals = _replicate_pvalues(config, np.random.default_rng(children[r]), gen1, gen2)
-        except (ValueError, DegenerateNullError, FamilyTooLargeError) as exc:
+        except (ValueError, DegenerateNullError) as exc:
             # Same type, so the command line still exits with its documented code.
             raise type(exc)(f"replicate {r} failed: {exc}") from exc
         for key in keys:

@@ -10,7 +10,10 @@ lie in a random member of the family) or 1, and a pair across a C0 edge
 sparse quadratic forms in the per-value sample-1 count vector, and each
 permutation draw costs O(K + |C0|) without touching observation-level
 graphs. One fixed-graph moment formula, fed by four sums over the K values,
-gives the null moments of both summaries and of any fixed graph.
+gives the null moments of both summaries and of any fixed graph; its
+label-pattern coefficients are exact rationals, each rounded to float once.
+``StatisticKernel`` holds an instance's weights, moments and within forms
+and is the one map from labelings to statistics.
 
 Raw counts per summary: the between-sample count, and the two within-sample
 counts. Derived statistics: the standardized between count (low values
@@ -22,7 +25,9 @@ max(kappa * weighted z, |difference z|).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -45,37 +50,6 @@ def _checked_var(var: float, mean: float, name: str) -> float:
     if var < -DEGENERATE_REL_TOL * max(1.0, mean * mean):
         raise ValueError(f"negative variance for {name}: {var}")
     return max(var, 0.0)
-
-
-@dataclass(frozen=True)
-class NullConstants:
-    """Permutation-null label-pattern probabilities.
-
-    p1 is the chance two fixed pooled observations both land in sample 1,
-    p2/p3 extend to three/four observations; q1..q3 are the sample-2
-    analogues and f1 the mixed four-observation pattern.
-    """
-
-    p1: float
-    p2: float
-    p3: float
-    q1: float
-    q2: float
-    q3: float
-    f1: float
-
-    @classmethod
-    def from_sizes(cls, n1: int, n2: int) -> "NullConstants":
-        # Products of ratios, never factorial quotients: stays finite at huge N.
-        n = n1 + n2
-        p1 = (n1 / n) * ((n1 - 1) / (n - 1))
-        p2 = p1 * ((n1 - 2) / (n - 2))
-        p3 = p2 * ((n1 - 3) / (n - 3))
-        q1 = (n2 / n) * ((n2 - 1) / (n - 1))
-        q2 = q1 * ((n2 - 2) / (n - 2))
-        q3 = q2 * ((n2 - 3) / (n - 3))
-        f1 = (n1 / n) * ((n1 - 1) / (n - 1)) * (n2 / (n - 2)) * ((n2 - 1) / (n - 3))
-        return cls(p1, p2, p3, q1, q2, q3, f1)
 
 
 class _PerSummary:
@@ -134,7 +108,6 @@ class MomentSet(_PerSummary):
     n2: int
     average: SummaryMoments
     union: SummaryMoments
-    constants: NullConstants
 
     @property
     def n_total(self) -> int:
@@ -302,23 +275,15 @@ class WithinForms:
         k = m_int.size
         self._multiplicity = m_int
         m = m_int.astype(np.float64)
-        order = np.argsort(c0.edge_array[:, 0], kind="stable")
-        u, v = c0.edge_array[order, 0], c0.edge_array[order, 1]
-        # CSR layout shared by both summaries: row r holds its diagonal entry,
-        # then the edges (r, v); with edges sorted by u, edge i lands at i + u + 1.
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=k) + 1)])
-        diag_at = indptr[:-1]
-        edge_at = np.arange(u.size) + u + 1
-        indices = np.empty(k + u.size, dtype=np.int64)
-        indices[diag_at] = np.arange(k)
-        indices[edge_at] = v
+        # One diagonal entry per value, then each edge once at (u, v).
+        diag = np.arange(k)
+        rows = np.concatenate([diag, c0.edge_array[:, 0]])
+        cols = np.concatenate([diag, c0.edge_array[:, 1]])
         self._forms: dict[str, tuple] = {}
         for name, w in weights.items():
             self_weight = w.pair_weight / 2.0
-            data = np.empty(k + u.size)
-            data[diag_at] = self_weight
-            data[edge_at] = w.edge_weight[order]
-            q = csr_array((data, indices, indptr), shape=(k, k))
+            data = np.concatenate([self_weight, w.edge_weight])
+            q = csr_array((data, (rows, cols)), shape=(k, k))
             within2_linear = q @ m + q.T @ m - self_weight
             self._forms[name] = (q, self_weight, within2_linear, float(w.total))
 
@@ -377,30 +342,41 @@ def extended_counts(table: DistinctTable, c0: SimilarityGraph, counts1=None) -> 
     return ExtendedCounts(average=triples["average"], union=triples["union"])
 
 
-def _shape_moments(w: SummaryWeights, n1: int, n2: int, consts: NullConstants, name: str) -> SummaryMoments:
+def _pattern(n1: int, n2: int, a: int, b: int) -> Fraction:
+    """The chance that a fixed a + b pooled observations put a in sample 1, b in sample 2.
+
+    Exact falling factorials: (n1)_a (n2)_b / (N)_(a+b).
+    """
+    return Fraction(math.perm(n1, a) * math.perm(n2, b), math.perm(n1 + n2, a + b))
+
+
+def _shape_moments(w: SummaryWeights, n1: int, n2: int, name: str) -> SummaryMoments:
     """Moments of the counts on a FIXED weighted graph on the N observations.
 
     Chen & Friedman's fixed-graph forms with the sum of squared weights as
     its own term (with unit weights it is the edge count): a pair of pairs
     on 2, 3 or 4 distinct observations lies in sample 1 with chance p1, p2
-    or p3, and the pairs of pairs on 2 and 3 observations weigh the sum of
-    squared weights and the shared sum of ``SummaryWeights``.
+    or p3 (q1..q3 for sample 2, f1 for one pair in each), and the pairs of
+    pairs on 2 and 3 observations weigh the sum of squared weights and the
+    shared sum of ``SummaryWeights``. Each coefficient, differences such as
+    p3 - p1^2 and f1 - p1 q1 included, is an exact rational rounded to float
+    once, so the variances do not lose digits to cancelling products.
     """
     n = n1 + n2
     size, sq = float(w.total), float(w.sum_sq_weights)
     share, e2 = float(w.sum_shared), float(w.sum_sq_degrees)
-    p1, p2, p3 = consts.p1, consts.p2, consts.p3
-    q1, q2, q3 = consts.q1, consts.q2, consts.q3
-    f1 = consts.f1
+    p1, p2, p3 = (_pattern(n1, n2, a, 0) for a in (2, 3, 4))
+    q1, q2, q3 = (_pattern(n1, n2, 0, b) for b in (2, 3, 4))
+    f1 = _pattern(n1, n2, 2, 2)
 
-    mean_w1 = size * p1
-    mean_w2 = size * q1
-    var_w1 = (p1 - p3) * sq + (p2 - p3) * share + (p3 - p1 * p1) * size * size
-    var_w2 = (q1 - q3) * sq + (q2 - q3) * share + (q3 - q1 * q1) * size * size
-    cov = f1 * (size * size - sq - share) - p1 * q1 * size * size
+    mean_w1 = size * float(p1)
+    mean_w2 = size * float(q1)
+    var_w1 = float(p1 - p3) * sq + float(p2 - p3) * share + float(p3 - p1 * p1) * size * size
+    var_w2 = float(q1 - q3) * sq + float(q2 - q3) * share + float(q3 - q1 * q1) * size * size
+    cov = float(f1 - p1 * q1) * size * size - float(f1) * (sq + share)
 
     mean_wt = size * ((n1 - 1) * (n2 - 1)) / ((n - 1) * (n - 2))
-    var_wt = f1 * (sq - e2 / (n - 2) + 2.0 * size * size / ((n - 1) * (n - 2)))
+    var_wt = float(f1) * (sq - e2 / (n - 2) + 2.0 * size * size / ((n - 1) * (n - 2)))
     mean_diff = size * (n1 - n2) / n
     var_diff = n1 * n2 / (n * (n - 1.0)) * (e2 - 4.0 * size * size / n)
 
@@ -425,9 +401,11 @@ def moments(
 
     Each summary is a weighted graph on the observations (``summary_weights``)
     and one formula, ``_shape_moments``, gives the moments of the counts on
-    any such graph from four sums over the K values, in O(K + |C0|). A
-    fixed observation-level graph is the all-multiplicities-one table, where
-    both summaries are that graph.
+    any such graph from four sums over the K values, in O(K + |C0|), with
+    exactly rounded coefficients. A fixed observation-level graph is the
+    all-multiplicities-one table, where both summaries are that graph. A
+    ``StatisticKernel`` computes the same moments for itself; this function
+    serves callers that want the moments alone.
 
     With ``require_nondegenerate`` (the default) a collapsed null variance
     raises a degenerate-null error naming the offending statistic; pass
@@ -443,12 +421,10 @@ def moments_from_weights(table: DistinctTable, weights: dict[str, SummaryWeights
     """The raw ``moments`` from the ``summary_weights`` of the table and its C0."""
     if table.n_total < 4:
         raise ValueError("need at least 4 observations for null moments")
-    consts = NullConstants.from_sizes(table.n1, table.n2)
     return MomentSet(
         n1=table.n1,
         n2=table.n2,
-        constants=consts,
-        **{name: _shape_moments(w, table.n1, table.n2, consts, name) for name, w in weights.items()},
+        **{name: _shape_moments(w, table.n1, table.n2, name) for name, w in weights.items()},
     )
 
 
@@ -477,13 +453,15 @@ def check_kappas(kappas) -> None:
 class StatisticKernel:
     """The one map from per-value sample-1 counts to every statistic.
 
-    Built once per instance (the summary weights, the moments, the kappas
-    and the sparse within forms), then applied either to one labeling
-    (``evaluate_one``, which ``analyze``, ``evaluate_statistics``,
-    ``pergraph_statistics`` and the observed side of ``permutation_pvalues``
-    use) or to a batch of draws (``evaluate``, rows of a B x K matrix, which
-    is what the permutation engine does). Both share one standardization
-    step, so each statistic has one formula.
+    Built once per instance, it is the only holder of the instance's
+    summary weights, null moments, kappas and sparse within forms. It is
+    applied either to one labeling (``evaluate_one``, which ``analyze``,
+    ``evaluate_statistics``, ``pergraph_statistics``, the power replicate
+    and the observed side of ``permutation_pvalues`` use) or to a batch of
+    draws (``evaluate``, rows of a B x K matrix, which is what the
+    permutation engine does). Both share one standardization step, so each
+    statistic has one formula. ``mset`` reuses moments already computed for
+    this table and C0.
     """
 
     def __init__(
@@ -498,9 +476,9 @@ class StatisticKernel:
             mset = moments_from_weights(table, self.weights)
         mset.require_nondegenerate()
         check_kappas(kappas)
+        self.table = table
         self.mset = mset
         self.kappas = tuple(kappas)
-        self.n_values = table.n_values
         self._within = WithinForms(table.multiplicity, c0, self.weights)
         self._weight = mset.pooled_weight
 
@@ -538,14 +516,15 @@ class StatisticKernel:
             },
         }
 
-    def evaluate_one(self, counts1) -> StatisticValues:
-        """Every statistic of one labeling, given by its per-value sample-1 counts."""
-        c1 = np.asarray(counts1, dtype=np.int64)
-        if c1.shape != (self.n_values,):
-            raise InputFormatError("counts1 must have one entry per distinct value")
+    def evaluate_one(self, counts1=None) -> StatisticValues:
+        """Every statistic of one labeling, given by its per-value sample-1 counts.
+
+        ``counts1`` defaults to the table's own labeling; any other must keep
+        the multiplicities and the sample-1 size.
+        """
         per_summary = {
             name: SummaryStatistics(**self._standardize(name, w1, w2))
-            for name, (w1, w2) in self._within.one(c1).items()
+            for name, (w1, w2) in self._within.one(_resolve_counts1(self.table, counts1)).items()
         }
         return StatisticValues(average=per_summary["average"], union=per_summary["union"])
 
@@ -556,7 +535,7 @@ class StatisticKernel:
         with one entry per row (``max_stats`` to a kappa-keyed dict of them).
         """
         c1 = np.asarray(counts1_matrix)
-        if c1.ndim != 2 or c1.shape[1] != self.n_values:
+        if c1.ndim != 2 or c1.shape[1] != self.table.n_values:
             raise InputFormatError("counts matrix must be (B, n_values)")
         # One K x B float64 copy: columns are draws, the layout the sparse
         # product reads contiguously.
@@ -572,7 +551,7 @@ def evaluate_statistics(
     counts1=None,
 ) -> StatisticValues:
     """All raw and standardized statistics for one labeling, both summaries."""
-    return StatisticKernel(table, c0, mset, kappas).evaluate_one(_resolve_counts1(table, counts1))
+    return StatisticKernel(table, c0, mset, kappas).evaluate_one(counts1)
 
 
 def pergraph_statistics(
@@ -588,5 +567,5 @@ def pergraph_statistics(
     """
     labels = np.asarray(labels, dtype=np.int64)
     table = DistinctTable(labels=labels, value_index=np.arange(labels.size), n_values=labels.size)
-    mset = moments(table, graph)
-    return evaluate_statistics(table, graph, mset, kappas).union, mset.union
+    kernel = StatisticKernel(table, graph, kappas=kappas)
+    return kernel.evaluate_one().union, kernel.mset.union

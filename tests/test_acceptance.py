@@ -52,7 +52,7 @@ from edgecount.oracle import (
     random_tied_matrix,
     union_counts_direct,
 )
-from edgecount.stats import SUMMARIES
+from edgecount.stats import SUMMARIES, StatisticKernel
 
 from conftest import (
     FIVE_VALUE_DISTANCES,
@@ -295,7 +295,7 @@ def test_08_null_calibration_and_analytic_permutation_agreement():
         mset = moments(table, c0)
         values = evaluate_statistics(table, c0, mset, kappas=(1.14,))
         perm = permutation_pvalues(
-            table, c0, mset, kappas=(1.14,), n_perm=10_000,
+            StatisticKernel(table, c0, mset, kappas=(1.14,)), n_perm=10_000,
             seed=int(rng.integers(2**63)),
         )
         for name in SUMMARIES:
@@ -511,7 +511,7 @@ def test_external_phone_network_dataset_matches_frozen_report():
 
     # Permutation p-values from an independent 10^4-draw run should land
     # within Monte Carlo range of the frozen permutation column.
-    perm = permutation_pvalues(table, c0, mset, kappas=kappas, n_perm=10_000, seed=0)
+    perm = permutation_pvalues(StatisticKernel(table, c0, mset, kappas), n_perm=10_000, seed=0)
     for name in SUMMARIES:
         for key, ref in PHONE_PERMUTATION[name].items():
             if key == "max":

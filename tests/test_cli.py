@@ -420,6 +420,34 @@ def test_invalid_thread_env_exits_2(capsys, monkeypatch, rankings_file):
     assert "EDGECOUNT_THREADS" in err
 
 
+def test_negative_permutation_count_exits_2(capsys, rankings_file):
+    code, out, err = run_cli(capsys, [
+        "test", "--input", str(rankings_file), "--kind", "ranking", "--perm", "-3",
+    ])
+    assert code == 2
+    assert out == ""
+    assert "--perm" in err and "-3" in err
+
+
+def test_zero_thread_flag_exits_2(capsys, rankings_file):
+    code, out, err = run_cli(capsys, [
+        "test", "--input", str(rankings_file), "--kind", "ranking", "--threads", "0",
+    ])
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err and "'0'" in err
+
+
+def test_zero_thread_env_exits_2(capsys, monkeypatch, rankings_file):
+    monkeypatch.setenv("EDGECOUNT_THREADS", "0")
+    code, out, err = run_cli(capsys, [
+        "test", "--input", str(rankings_file), "--kind", "ranking",
+    ])
+    assert code == 2
+    assert out == ""
+    assert "EDGECOUNT_THREADS" in err and "'0'" in err
+
+
 # ---------------------------------------------------------------------------
 # edgecount power
 # ---------------------------------------------------------------------------

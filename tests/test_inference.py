@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from edgecount import inference
 from edgecount.dataset import DistanceMatrix, DistinctTable
 from edgecount.errors import InputFormatError
 from edgecount.graphs import SimilarityGraph, build_knnl, build_nnl
@@ -210,11 +209,12 @@ def test_solve_kappa_validation():
 
 def test_permutation_pvalues_are_deterministic_and_thread_invariant():
     table, c0 = five_value_instance()
-    a = permutation_pvalues(table, c0, kappas=(1.14,), n_perm=5000, seed=9)
-    b = permutation_pvalues(table, c0, kappas=(1.14,), n_perm=5000, seed=9)
-    c = permutation_pvalues(table, c0, kappas=(1.14,), n_perm=5000, seed=9, threads=4)
+    kernel = StatisticKernel(table, c0, kappas=(1.14,))
+    a = permutation_pvalues(kernel, n_perm=5000, seed=9)
+    b = permutation_pvalues(StatisticKernel(table, c0, kappas=(1.14,)), n_perm=5000, seed=9)
+    c = permutation_pvalues(kernel, n_perm=5000, seed=9, threads=4)
     assert a == b == c
-    d = permutation_pvalues(table, c0, kappas=(1.14,), n_perm=5000, seed=10)
+    d = permutation_pvalues(kernel, n_perm=5000, seed=10)
     assert a != d
 
 
@@ -233,7 +233,7 @@ def test_marginals_sampler_matches_the_exhaustive_null():
 
 
 def _assert_matches_exhaustive_null(table, c0, n_perm: int, seed: int) -> None:
-    mc = permutation_pvalues(table, c0, n_perm=n_perm, seed=seed)
+    mc = permutation_pvalues(StatisticKernel(table, c0), n_perm=n_perm, seed=seed)
     # The enumeration runs over count vectors, so the cap on C(N, n1) is moot.
     null = enumerate_permutations(table, c0, cap=math.comb(table.n_total, table.n1))
     n1, n = table.n1, table.n_total
@@ -277,7 +277,7 @@ def test_chunk_rows_respect_the_byte_budget():
         assert 8 * k * rows <= _PERM_CHUNK_BYTES < 8 * k * (rows + 1) or rows == 1
 
 
-def test_permutation_chunks_stay_within_the_byte_budget_at_large_k(monkeypatch):
+def test_permutation_chunks_stay_within_the_byte_budget_at_large_k():
     # All multiplicities one (the fixed-graph table) on a 3,000-value path.
     k = 3000
     rng = np.random.default_rng(8)
@@ -291,16 +291,16 @@ def test_permutation_chunks_stay_within_the_byte_budget_at_large_k(monkeypatch):
             seen.append(np.asarray(counts1_matrix).shape[0])
             return super().evaluate(counts1_matrix)
 
-    monkeypatch.setattr(inference, "StatisticKernel", RecordingKernel)
-    one = permutation_pvalues(table, c0, n_perm=400, seed=2)
+    kernel = RecordingKernel(table, c0)
+    one = permutation_pvalues(kernel, n_perm=400, seed=2)
     assert sum(seen) == 400 and len(seen) > 1
     assert max(seen) * 8 * k <= _PERM_CHUNK_BYTES
-    assert permutation_pvalues(table, c0, n_perm=400, seed=2, threads=3) == one
+    assert permutation_pvalues(kernel, n_perm=400, seed=2, threads=3) == one
 
 
 def test_permutation_pvalues_use_the_add_one_estimator():
     table, c0 = five_value_instance()
-    out = permutation_pvalues(table, c0, kappas=(1.0,), n_perm=3, seed=0)
+    out = permutation_pvalues(StatisticKernel(table, c0, kappas=(1.0,)), n_perm=3, seed=0)
     for name in SUMMARIES:
         for key in ("edge", "weighted", "difference", "generalized"):
             assert out[name][key] in {0.25, 0.5, 0.75, 1.0}
@@ -310,7 +310,7 @@ def test_permutation_pvalues_use_the_add_one_estimator():
 def test_permutation_pvalues_validation():
     table, c0 = five_value_instance()
     with pytest.raises(InputFormatError):
-        permutation_pvalues(table, c0, n_perm=0)
+        permutation_pvalues(StatisticKernel(table, c0), n_perm=0)
 
 
 # ---------------------------------------------------------------------------

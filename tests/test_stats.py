@@ -170,6 +170,49 @@ def test_average_moments_match_the_papers_form_on_large_tied_knnl_instances():
             assert getattr(got, field) == pytest.approx(float(exact), abs=1e-10, rel=1e-10), field
 
 
+def assert_moments_exact(got, exact: dict[str, Fraction]) -> None:
+    """Every moment, and var_between, within 1e-12 relative of the exact rationals."""
+    exact = {
+        **exact,
+        "var_between": exact["var_within1"] + exact["var_within2"] + 2 * exact["cov_within"],
+    }
+    for field, value in exact.items():
+        assert getattr(got, field) == pytest.approx(float(value), rel=1e-12, abs=0), field
+
+
+def test_average_moments_stay_exact_at_large_n():
+    # N up to about 75,000, where the variances' coefficients p3 - p1^2 and
+    # f1 - p1 q1 are differences of nearly equal products.
+    rng = np.random.default_rng(62)
+    for _ in range(10):
+        k = int(rng.integers(50, 301))
+        d = random_tied_matrix(rng, k, high=int(rng.integers(3, 30)))
+        c0 = build_knnl(DistanceMatrix(values=d), int(rng.integers(1, 4)))
+        m = rng.integers(1, 501, size=k)
+        table = table_from_counts(rng.integers(0, m + 1), m)
+        got = moments(table, c0, require_nondegenerate=False).average
+        assert_moments_exact(got, paper_average_moments(table, c0))
+
+
+def test_union_moments_stay_exact_against_the_materialized_union():
+    # The union summary is the fixed graph on the observations, so the
+    # paper's form on the all-ones table over that graph gives its moments
+    # exactly: N near 1,000 and about 30,000 union edges.
+    rng = np.random.default_rng(63)
+    for _ in range(5):
+        k = int(rng.integers(50, 101))
+        d = random_tied_matrix(rng, k, high=int(rng.integers(3, 30)))
+        c0 = build_knnl(DistanceMatrix(values=d), int(rng.integers(1, 4)))
+        m = rng.integers(1, 31, size=k)
+        table = table_from_counts(rng.integers(0, m + 1), m)
+        union = materialize_union_graph(c0, table)
+        ones = DistinctTable(
+            labels=table.labels, value_index=np.arange(table.n_total), n_values=table.n_total
+        )
+        got = moments(table, c0, require_nondegenerate=False).union
+        assert_moments_exact(got, paper_average_moments(ones, union))
+
+
 def test_moments_match_exhaustive_null_on_balanced_path():
     table = table_from_counts((2, 1, 1), (4, 2, 2))
     assert_moments_match_exhaustive(table, path_graph(3))
