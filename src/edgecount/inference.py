@@ -26,6 +26,7 @@ from .errors import InputFormatError
 from .graphs import SimilarityGraph, count_graph_family
 from .stats import (
     SUMMARIES,
+    MomentSet,
     StatisticKernel,
     StatisticValues,
     SummaryMoments,
@@ -299,28 +300,27 @@ def _third_moment_sum(c0: SimilarityGraph, m: np.ndarray) -> int:
 def condition_diagnostics(table: DistinctTable, c0: SimilarityGraph) -> Diagnostics:
     """Evaluate the finite-sample analogues of the asymptotic conditions."""
     weights = summary_weights(table.multiplicity, c0)
-    union = weights["union"]
+    return _diagnostics(table, c0, weights, moments_from_weights(table, weights))
+
+
+def _diagnostics(table: DistinctTable, c0: SimilarityGraph, weights: dict, mset: MomentSet) -> Diagnostics:
+    """``condition_diagnostics`` from the instance's ``summary_weights`` and moments.
+
+    The variety ratios are the degree spreads C over 4N (average) and N
+    (union): each is zero exactly when that summary's difference has zero variance.
+    """
     n = table.n_total
     k = table.n_values
-    m = table.multiplicity.astype(np.float64)
-    deg = c0.degrees.astype(np.float64)
-
-    # Degree variety: a quarter of the average summary's sum of squared
-    # centred weighted degrees, written so that it is exactly zero when every
-    # value has degree 2 and |C0| = K (a cycle), the case where the
-    # difference statistic degenerates.
-    cond3 = float(((deg - 2.0) ** 2 / (4.0 * m)).sum()) - (c0.n_edges - k) ** 2 / n
-    union_variety = float(union.sum_sq_degrees) - 4.0 * union.total**2 / n
     third_avg = _third_moment_sum(c0, np.ones(k, dtype=np.int64))
     third_union = _third_moment_sum(c0, table.multiplicity)
 
     ratios = {
         "graph_size_ratio": c0.n_edges / n,
         "distinct_value_ratio": k / n,
-        "inverse_multiplicity_ratio": float((1.0 / m).sum()) / n,
-        "degree_variety_ratio": cond3 / n,
-        "union_size_ratio": union.total / n,
-        "union_variety_ratio": union_variety / n,
+        "inverse_multiplicity_ratio": float((1.0 / table.multiplicity).sum()) / n,
+        "degree_variety_ratio": weights["average"].degree_spread / (4 * n),
+        "union_size_ratio": weights["union"].total / n,
+        "union_variety_ratio": weights["union"].degree_spread / n,
         "third_moment_ratio_average": third_avg / n**1.5,
         "third_moment_ratio_union": third_union / n**1.5,
     }
@@ -341,7 +341,6 @@ def condition_diagnostics(table: DistinctTable, c0: SimilarityGraph) -> Diagnost
                 f"third-moment sum is large ({name} summary): normal approximation "
                 "may be poor; prefer permutation p-values"
             )
-    mset = moments_from_weights(table, weights)
     for name in SUMMARIES:
         for stat in mset.summary(name).degenerate_statistics():
             warnings.append(f"null variance of {stat} ({name} summary) is zero")
@@ -557,7 +556,7 @@ def analyze(
         meta=meta,
         blocks=tuple(blocks),
         kappas=tuple(kappas),
-        diagnostics=condition_diagnostics(table, c0),
+        diagnostics=_diagnostics(table, c0, kernel.weights, mset),
         seed=seed if n_perm else None,
         permutations=n_perm,
         timestamp=timestamp,

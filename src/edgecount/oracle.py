@@ -696,6 +696,7 @@ def verify_moments(rng: np.random.Generator, instances: int, max_n: int) -> list
             moms = mset.summary(name)
             w1 = lambda row: row[f"within1_{name}"]
             w2 = lambda row: row[f"within2_{name}"]
+            bt = lambda row: row[f"between_{name}"]
             rw = lambda row: (1 - phat) * w1(row) + phat * w2(row)
             rd = lambda row: w1(row) - w2(row)
             failures += _mismatches("moment", (
@@ -704,6 +705,8 @@ def verify_moments(rng: np.random.Generator, instances: int, max_n: int) -> list
                 (f"E within2 ({name})", moms.mean_within2, null.mean(w2)),
                 (f"Var within2 ({name})", moms.var_within2, null.variance(w2)),
                 (f"Cov ({name})", moms.cov_within, null.covariance(w1, w2)),
+                (f"E between ({name})", moms.mean_between, null.mean(bt)),
+                (f"Var between ({name})", moms.var_between, null.variance(bt)),
                 (f"E weighted ({name})", moms.mean_weighted, null.mean(rw)),
                 (f"Var weighted ({name})", moms.var_weighted, null.variance(rw)),
                 (f"E difference ({name})", moms.mean_difference, null.mean(rd)),

@@ -9,9 +9,9 @@ lie in a random member of the family) or 1, and a pair across a C0 edge
 (u, v) weighs 1/(m_u m_v) or 1 (``summary_weights``). So the counts are
 sparse quadratic forms in the per-value sample-1 count vector, and each
 permutation draw costs O(K + |C0|) without touching observation-level
-graphs. One fixed-graph moment formula, fed by four sums over the K values,
-gives the null moments of both summaries and of any fixed graph; its
-label-pattern coefficients are exact rationals, each rounded to float once.
+graphs. One fixed-graph moment formula, fed by two spreads per summary (of
+the pair weights and of the weighted degrees), gives the null moments of
+both summaries and of any fixed graph, with exactly rounded coefficients.
 ``StatisticKernel`` holds an instance's weights, moments and within forms
 and is the one map from labelings to statistics.
 
@@ -182,70 +182,66 @@ class SummaryWeights:
 
     A pair of copies of value u weighs ``pair_weight[u]`` and a pair across
     a C0 edge weighs that edge's ``edge_weight`` (``c0.edge_array`` order);
-    ``total`` is the exact sum of all pair weights, the constant between +
-    within1 + within2. ``degree[u]`` is the weighted degree D_u of each
-    observation of value u, and S_u is the same sum of squared weights. The
-    null moments need three more sums: of the squared weights over all
-    pairs, and over the N observations (so over the values, weighted by
-    m_u) of D^2 - S, which counts ordered pairs of distinct pairs sharing
-    that observation, and of D^2.
+    ``total`` is the exact sum W of all pair weights, the constant between +
+    within1 + within2, and ``degree[u]`` is the weighted degree D_u of each
+    observation of value u. The null variances need two spreads:
+    ``pair_spread`` V = sum w^2 - W^2/P of the weights over all P = N(N-1)/2
+    observation pairs, and ``degree_spread`` C = sum_u m_u (D_u - 2W/N)^2 of
+    the degrees over the N observations.
     """
 
     pair_weight: np.ndarray
     edge_weight: np.ndarray
     total: int
     degree: np.ndarray
-    sum_sq_weights: float | int
-    sum_shared: float | int
-    sum_sq_degrees: float | int
+    pair_spread: float
+    degree_spread: float
 
 
 def summary_weights(multiplicity, c0: SimilarityGraph) -> dict[str, SummaryWeights]:
     """The weights of both summaries, in O(K + |C0|).
 
     Average: a pair of copies of u lies in a random member of the family
-    with probability 2/m_u and a C0 pair with probability 1/(m_u m_v), so
-    the average counts are the counts on that weighted graph. Union: every
-    weight is 1, held as integers so that the union's sums are exact.
+    with probability 2/m_u and a C0 pair with probability 1/(m_u m_v).
+    There m_u D_u = 2(m_u - 1) + deg_u is an integer, so each centred degree
+    is one integer over N m_u, rounded once (zero on a cycle). Union: every
+    weight is 1, and both spreads are exact rationals rounded once.
     """
     m = np.asarray(multiplicity, dtype=np.int64)
     k = m.size
     if c0.n_nodes != k:
         raise InputFormatError("graph and table disagree on the number of distinct values")
+    n = int(m.sum())
+    pairs = max(n * (n - 1) // 2, 1)  # below two observations W = 0
     u, v = c0.edge_array[:, 0], c0.edge_array[:, 1]
     m_u, m_v = m[u], m[v]
-    copies = m * (m - 1) // 2
-    out = {}
-    for name, pair, edge, total in (
-        ("average", 2.0 / m, 1.0 / (m_u * m_v), int(m.sum()) - k + c0.n_edges),
-        ("union", np.ones(k, dtype=np.int64), np.ones(u.size, dtype=np.int64),
-         int(copies.sum()) + int((m_u * m_v).sum())),
-    ):
-        # Per edge: the weight from one observation of u to v's whole block,
-        # and from one observation of v to u's block.
-        at_u, at_v = m_v * edge, m_u * edge
-        degree = (m - 1) * pair + _incident_sum(k, u, v, at_u, at_v)
-        sq = (m - 1) * pair**2 + _incident_sum(k, u, v, at_u * edge, at_v * edge)
-        out[name] = SummaryWeights(
-            pair_weight=pair,
-            edge_weight=edge,
-            total=total,
-            degree=degree,
-            sum_sq_weights=(copies * pair**2).sum() + (at_u * at_v).sum(),
-            sum_shared=(m * (degree**2 - sq)).sum(),
-            sum_sq_degrees=(m * degree**2).sum(),
-        )
-    return out
 
+    total = n - k + c0.n_edges
+    edge = 1.0 / (m_u * m_v)
+    scaled_degree = 2 * (m - 1) + c0.degrees
+    centred = (n * scaled_degree - 2 * total * m) / (n * m)
+    average = SummaryWeights(
+        pair_weight=2.0 / m,
+        edge_weight=edge,
+        total=total,
+        degree=scaled_degree / m,
+        pair_spread=float((2.0 * (m - 1) / m).sum() + edge.sum()) - total * total / pairs,
+        degree_spread=float((m * centred**2).sum()),
+    )
 
-def _incident_sum(k: int, u: np.ndarray, v: np.ndarray, at_u: np.ndarray, at_v: np.ndarray) -> np.ndarray:
-    """Per value x, the sum of ``at_u`` over C0 edges (x, .) and of ``at_v`` over (., x).
-
-    bincount sums in float64, which is exact for integer entries whose sums
-    stay below 2**53, so integer entries come back as exact integers.
-    """
-    out = np.bincount(u, at_u, k) + np.bincount(v, at_v, k)
-    return out.astype(at_u.dtype, copy=False)
+    total = int((m * (m - 1) // 2).sum()) + int((m_u * m_v).sum())
+    # bincount sums in float64, exact for these integer sums below 2**53.
+    degree = m - 1 + (np.bincount(u, m_v, k) + np.bincount(v, m_u, k)).astype(np.int64)
+    sum_sq_degrees = int((m.astype(object) * degree.astype(object) ** 2).sum())
+    union = SummaryWeights(
+        pair_weight=np.ones(k, dtype=np.int64),
+        edge_weight=np.ones(u.size, dtype=np.int64),
+        total=total,
+        degree=degree,
+        pair_spread=float(Fraction(total * (pairs - total), pairs)),
+        degree_spread=float(Fraction(n * sum_sq_degrees - 4 * total * total, n)),
+    )
+    return {"average": average, "union": union}
 
 
 class WithinForms:
@@ -353,32 +349,28 @@ def _pattern(n1: int, n2: int, a: int, b: int) -> Fraction:
 def _shape_moments(w: SummaryWeights, n1: int, n2: int, name: str) -> SummaryMoments:
     """Moments of the counts on a FIXED weighted graph on the N observations.
 
-    Chen & Friedman's fixed-graph forms with the sum of squared weights as
-    its own term (with unit weights it is the edge count): a pair of pairs
-    on 2, 3 or 4 distinct observations lies in sample 1 with chance p1, p2
-    or p3 (q1..q3 for sample 2, f1 for one pair in each), and the pairs of
-    pairs on 2 and 3 observations weigh the sum of squared weights and the
-    shared sum of ``SummaryWeights``. Each coefficient, differences such as
-    p3 - p1^2 and f1 - p1 q1 included, is an exact rational rounded to float
-    once, so the variances do not lose digits to cancelling products.
+    Chen & Friedman's fixed-graph forms: a pair of pairs on 2, 3 or 4
+    distinct observations lies in sample 1 with chance p1, p2 or p3 (q1..q3
+    for sample 2, f1 for one pair in each). Written through the pair spread
+    V and the degree spread C of ``SummaryWeights`` every W^2 term cancels,
+    and each coefficient is an exact rational rounded to float once.
     """
     n = n1 + n2
-    size, sq = float(w.total), float(w.sum_sq_weights)
-    share, e2 = float(w.sum_shared), float(w.sum_sq_degrees)
+    size, spread, variety = float(w.total), w.pair_spread, w.degree_spread
     p1, p2, p3 = (_pattern(n1, n2, a, 0) for a in (2, 3, 4))
     q1, q2, q3 = (_pattern(n1, n2, 0, b) for b in (2, 3, 4))
     f1 = _pattern(n1, n2, 2, 2)
 
     mean_w1 = size * float(p1)
     mean_w2 = size * float(q1)
-    var_w1 = float(p1 - p3) * sq + float(p2 - p3) * share + float(p3 - p1 * p1) * size * size
-    var_w2 = float(q1 - q3) * sq + float(q2 - q3) * share + float(q3 - q1 * q1) * size * size
-    cov = float(f1 - p1 * q1) * size * size - float(f1) * (sq + share)
+    var_w1 = float(p1 - 2 * p2 + p3) * spread + float(p2 - p3) * variety
+    var_w2 = float(q1 - 2 * q2 + q3) * spread + float(q2 - q3) * variety
+    cov = float(f1) * (spread - variety)
 
     mean_wt = size * ((n1 - 1) * (n2 - 1)) / ((n - 1) * (n - 2))
-    var_wt = float(f1) * (sq - e2 / (n - 2) + 2.0 * size * size / ((n - 1) * (n - 2)))
+    var_wt = float(f1) * (spread - variety / (n - 2))
     mean_diff = size * (n1 - n2) / n
-    var_diff = n1 * n2 / (n * (n - 1.0)) * (e2 - 4.0 * size * size / n)
+    var_diff = float(Fraction(n1 * n2, n * (n - 1))) * variety
 
     return SummaryMoments(
         total=size,
@@ -401,8 +393,8 @@ def moments(
 
     Each summary is a weighted graph on the observations (``summary_weights``)
     and one formula, ``_shape_moments``, gives the moments of the counts on
-    any such graph from four sums over the K values, in O(K + |C0|), with
-    exactly rounded coefficients. A fixed observation-level graph is the
+    any such graph from its total weight and two spreads, in O(K + |C0|),
+    with exactly rounded coefficients. A fixed observation-level graph is the
     all-multiplicities-one table, where both summaries are that graph. A
     ``StatisticKernel`` computes the same moments for itself; this function
     serves callers that want the moments alone.

@@ -27,7 +27,7 @@ from edgecount import oracle
 from edgecount.cli import main
 from edgecount.graphs import read_graph
 from edgecount.simulate import MallowsModel, sample_mallows, statistic_keys
-from edgecount.stats import moments as real_moments
+from edgecount.stats import SummaryMoments, moments as real_moments
 
 from conftest import FIVE_VALUE_DISTANCES, FIVE_VALUE_NNL_EDGES
 
@@ -323,13 +323,17 @@ def test_cycle_graph_with_zero_difference_variance_exits_3(capsys, tmp_path):
     dist_path = tmp_path / "cycle.csv"
     assign_path = tmp_path / "cycle_assign.csv"
     dist_path.write_text("0,1,2,1\n1,0,1,2\n2,1,0,1\n1,2,1,0\n")
-    assign_path.write_text("1,1\n1,2\n2,3\n2,4\n")
-    code, _, err = run_cli(capsys, [
-        "test", "--distances", str(dist_path), "--assignments", str(assign_path),
-        "--graph", "nnl", "1",
-    ])
-    assert code == 3
-    assert "degenerate null:" in err
+    # Repeated values keep the average summary's difference degenerate on a
+    # cycle: every weighted degree still equals 2W/N.
+    for assignments in ("1,1\n1,2\n2,3\n2,4\n", "1,1\n2,1\n1,1\n1,2\n2,2\n2,3\n1,3\n2,3\n1,3\n2,4\n"):
+        assign_path.write_text(assignments)
+        code, _, err = run_cli(capsys, [
+            "test", "--distances", str(dist_path), "--assignments", str(assign_path),
+            "--graph", "nnl", "1",
+        ])
+        assert code == 3
+        assert "degenerate null:" in err
+        assert "null variance of difference (average summary)" in err
 
 
 def test_non_finite_vector_coordinate_exits_2_with_file_and_line(capsys, tmp_path):
@@ -592,6 +596,28 @@ def test_verify_catches_an_injected_moment_error(capsys, monkeypatch):
     assert "moments vs exhaustive permutations: FAIL" in out
     assert err.startswith("verification mismatch:")
     assert "E within1 (average)" in err
+
+
+def test_verify_catches_an_injected_between_variance_error(capsys, monkeypatch):
+    # The between moments are derived from the within ones, so an error there
+    # leaves every within check passing.
+    class SkewedBetween(SummaryMoments):
+        @property
+        def var_between(self) -> float:
+            return 1.01 * super().var_between
+
+    def skewed_moments(table, c0, **kwargs):
+        mset = real_moments(table, c0, **kwargs)
+        return dataclasses.replace(mset, union=SkewedBetween(**dataclasses.asdict(mset.union)))
+
+    monkeypatch.setattr(oracle, "moments", skewed_moments)
+    code, out, err = run_cli(capsys, [
+        "verify", "--instances", "2", "--max-n", "8", "--seed", "1",
+    ])
+    assert code == 1
+    assert "moments vs exhaustive permutations: FAIL" in out
+    assert "Var between (union)" in err
+    assert "within" not in err
 
 
 def test_verify_catches_an_injected_knnl_error(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -401,15 +402,48 @@ def test_union_graph_no_repeats_is_c0():
     assert u.degree.tolist() == c0.degrees.tolist()
 
 
+def _exact_spreads(n: int, weighted_pairs) -> tuple[Fraction, Fraction]:
+    """Pair spread V and degree spread C of ((a, b), weight) pairs on n observations."""
+    total = sum(w for _, w in weighted_pairs)
+    degree = [Fraction(0)] * n
+    for (a, b), w in weighted_pairs:
+        degree[a] += w
+        degree[b] += w
+    pair_spread = sum(w * w for _, w in weighted_pairs) - total * total / (n * (n - 1) // 2)
+    degree_spread = sum((d - 2 * total / n) ** 2 for d in degree)
+    return pair_spread, degree_spread
+
+
 def test_union_graph_formula_matches_materialization():
     table = table_from_counts((1, 2, 2, 2, 1), FIVE_VALUE_MULTIPLICITY)
     c0 = SimilarityGraph.from_edges(5, FIVE_VALUE_NNL_EDGES)
-    u = summary_weights(table.multiplicity, c0)["union"]
+    weights = summary_weights(table.multiplicity, c0)
+    u = weights["union"]
     materialized = materialize_union_graph(c0, table)
     assert u.total == materialized.n_edges
     assert u.degree[table.value_index].tolist() == materialized.degrees.tolist()
     assert int((table.multiplicity * u.degree).sum()) == 2 * u.total
-    assert u.sum_sq_degrees == int((materialized.degrees.astype(object) ** 2).sum())
+    # Union spreads: exact rationals over the materialized edges, rounded once.
+    pair_spread, degree_spread = _exact_spreads(
+        table.n_total, [(e, Fraction(1)) for e in materialized.edges]
+    )
+    assert (u.pair_spread, u.degree_spread) == (float(pair_spread), float(degree_spread))
+    # Average spreads: the same edges weighted from m and C0, 2/m_u within a
+    # value and 1/(m_u m_v) across a C0 edge.
+    value, m = table.value_index, table.multiplicity
+    pair_spread, degree_spread = _exact_spreads(table.n_total, [
+        ((a, b), Fraction(2, int(m[value[a]])) if value[a] == value[b]
+         else Fraction(1, int(m[value[a]] * m[value[b]])))
+        for a, b in materialized.edges
+    ])
+    avg = weights["average"]
+    assert avg.pair_spread == pytest.approx(float(pair_spread), rel=1e-14)
+    assert avg.degree_spread == pytest.approx(float(degree_spread), rel=1e-14)
+    # On a cycle every value has degree 2 and |C0| = K, so every average
+    # weighted degree equals 2W/N whatever the multiplicities.
+    cycle = SimilarityGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    avg = summary_weights(table.multiplicity, cycle)["average"]
+    assert avg.degree_spread == pytest.approx(0.0, abs=1e-12)
 
 
 def test_union_graph_size_mismatch_raises():

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from edgecount import inference, stats
 from edgecount.dataset import DistanceMatrix, DistinctTable
 from edgecount.errors import InputFormatError
 from edgecount.graphs import SimilarityGraph, build_knnl, build_nnl
@@ -480,6 +481,27 @@ def test_analyze_timestamp_is_opt_in():
     report = analyze(table, c0, timestamp="2026-01-01T00:00:00Z")
     assert report.to_json_dict()["timestamp"] == "2026-01-01T00:00:00Z"
     assert "timestamp: 2026-01-01T00:00:00Z" in report.to_text()
+
+
+@pytest.mark.parametrize("n_perm", [None, 200])
+def test_analyze_builds_the_weights_and_moments_once(monkeypatch, n_perm):
+    calls = {"summary_weights": 0, "MomentSet": 0}
+    real_weights, real_init = stats.summary_weights, stats.MomentSet.__init__
+
+    def counting_weights(*args, **kwargs):
+        calls["summary_weights"] += 1
+        return real_weights(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["MomentSet"] += 1
+        real_init(self, *args, **kwargs)
+
+    for module in (stats, inference):
+        monkeypatch.setattr(module, "summary_weights", counting_weights)
+    monkeypatch.setattr(stats.MomentSet, "__init__", counting_init)
+    table, c0 = five_value_instance()
+    analyze(table, c0, n_perm=n_perm, seed=1)
+    assert calls == {"summary_weights": 1, "MomentSet": 1}
 
 
 def test_fixed_graph_report_matches_plain_statistics_without_repeats():
