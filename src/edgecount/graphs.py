@@ -4,10 +4,10 @@ The central construction is the nearest neighbor link (NNL): the union of
 all minimum spanning trees, so it keeps ALL tied minimal edges and is
 well-defined on distance matrices with ties, where "the" minimum spanning
 tree is not. A pair is in the NNL when its weight is no more than the
-minimax path weight between its endpoints (within the tie tolerance), and
-one Prim growth gives every minimax path weight. The k-MST instead picks
-one tree per round: the same Prim growth with seeded per-pair keys that
-order equal distances. A graph C0 on the K distinct values induces a
+minimax path weight between its endpoints (within the tie tolerance), read
+off one Prim growth for the few pairs that can qualify. The k-MST instead
+picks one tree per round: the same Prim growth with seeded per-pair keys
+that order equal distances. A graph C0 on the K distinct values induces a
 family of observation-level graphs (one observation-pair choice per C0
 edge crossed with one spanning tree per within-value clique); statistics
 either average over that family in closed form or evaluate on its edge
@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import DistanceMatrix, DistinctTable
+from .dataset import DistanceMatrix, DistinctTable, _frozen
 from .errors import InfeasibleGraphError, InputFormatError
 
 
@@ -56,7 +56,9 @@ class SimilarityGraph:
                 raise InputFormatError(f"self-loop at node {a}")
             raise InputFormatError(f"edge ({a},{b}) outside 0..{n_nodes - 1}")
         lo, hi = np.divmod(np.unique(lo * n_nodes + hi), n_nodes)
-        return cls(n_nodes=n_nodes, edges=tuple(zip(lo.tolist(), hi.tolist())))
+        graph = cls(n_nodes=n_nodes, edges=tuple(zip(lo.tolist(), hi.tolist())))
+        graph.__dict__["edge_array"] = _frozen(np.column_stack((lo, hi)))  # seeds the cache
+        return graph
 
     @property
     def n_edges(self) -> int:
@@ -64,18 +66,12 @@ class SimilarityGraph:
 
     @cached_property
     def edge_array(self) -> np.ndarray:
-        """Edges as an (n_edges, 2) int array; shape (0, 2) when empty."""
-        if not self.edges:
-            return np.empty((0, 2), dtype=np.int64)
-        arr = np.asarray(self.edges, dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
+        """Edges as a read-only (n_edges, 2) int array; shape (0, 2) when empty."""
+        return _frozen(np.asarray(self.edges, dtype=np.int64).reshape(-1, 2))
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.bincount(self.edge_array.ravel(), minlength=self.n_nodes)
-        deg.setflags(write=False)
-        return deg
+        return _frozen(np.bincount(self.edge_array.ravel(), minlength=self.n_nodes))
 
 
 def _as_matrix(dist) -> tuple[np.ndarray, float]:
@@ -152,40 +148,39 @@ def _prim(work: np.ndarray, key: np.ndarray | None = None) -> tuple[np.ndarray, 
     return order, parent, joined
 
 
-def _minimax(work: np.ndarray) -> np.ndarray:
-    """Minimax path weights of the graph whose pair weights are ``work``.
-
-    B[u, v] is the least, over all paths from u to v through finite pairs,
-    of the heaviest pair on the path; it is inf between components. Every
-    minimum spanning forest holds a minimax path for every pair, so one
-    Prim growth gives all of B: when node t joins through parent p at
-    weight x, B[t, s] = max(B[p, s], x) for each node s grown before it.
-    B is filled in insertion order, so that step fills one row and one
-    column slice, and is permuted back at the end. Only copies, max and
-    min touch the weights, so exact ties stay exact.
-    """
-    k = work.shape[0]
-    order, parent, joined = _prim(work)
-    position = np.empty(k, dtype=np.intp)
-    position[order] = np.arange(k)
-    b = np.full((k, k), np.inf)
-    for i in range(1, k):
-        t = order[i]
-        x = joined[t]
-        if x != np.inf:
-            p = position[parent[t]]
-            row = np.maximum(b[p, :i], x)
-            row[p] = x  # the pair (t, p) itself; b's diagonal stays inf
-            b[i, :i] = row
-            b[:i, i] = row
-    return b[np.ix_(position, position)]
+def _range_max(js: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(js[lo[i] + 1 .. hi[i]]) for each query lo[i] < hi[i], from a
+    sparse table: row j holds the maxima of the runs of 2**j entries, and a
+    query of length L >= 2**j takes the larger of the two runs covering it."""
+    n = js.size
+    table = np.full(((n - 1).bit_length(), n), np.inf)
+    table[0] = js
+    for j in range(1, table.shape[0]):
+        half, size = 1 << (j - 1), n - (1 << j) + 1
+        table[j, :size] = np.maximum(table[j - 1, :size], table[j - 1, half:half + size])
+    level = np.frexp(hi - lo)[1] - 1
+    return np.maximum(table[level, lo + 1], table[level, hi - (1 << level) + 1])
 
 
 def _nnl_round(work: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (u < v, row-major order) of one NNL round on ``work``."""
-    b = _minimax(work)
-    keep = np.isfinite(work) & (b >= work - tol)
-    return np.nonzero(np.triu(keep, 1))
+    """Pairs (u < v, row-major order) of one NNL round on ``work``.
+
+    With js the joining weights in Prim's insertion order, B of the nodes at
+    positions i < j of one component is max(js[i+1..j]): every cut between
+    them is crossed by a pair at least as heavy as the one Prim joined by,
+    and each threshold component is one run of positions. So B <= cap, the
+    heaviest finite joining weight, and ``work - tol <= cap`` (that float
+    expression, a necessary condition for the keep test bit for bit)
+    selects the candidates, the only pairs B is read for.
+    """
+    order, _, joined = _prim(work)
+    js = joined[order]
+    cap = js[np.isfinite(js)].max(initial=-np.inf)
+    us, vs = np.divmod(np.flatnonzero(work - tol <= cap), order.size)
+    position = np.argsort(order)  # each node's place in the insertion order
+    lo, hi = np.sort(position[[us, vs]], axis=0)
+    keep = (us < vs) & (_range_max(js, lo, hi) >= work[us, vs] - tol)
+    return us[keep], vs[keep]
 
 
 def build_nnl(dist) -> SimilarityGraph:
@@ -200,9 +195,13 @@ def build_nnl(dist) -> SimilarityGraph:
     ``tie_tolerance`` count as equal: a pair is kept when B(u, v) >=
     w - tie_tolerance, i.e. when pairs lighter by more than the tolerance
     leave u and v disconnected. B is the same for every minimum spanning
-    tree and comes from one Prim growth, so tied pairs never block one
-    another and the result does not depend on any processing order. The
-    cost is O(K^2) time and a few K x K float64 arrays.
+    tree and comes from one Prim growth (the largest joining weight between
+    the endpoints' positions in Prim's insertion order), so tied pairs
+    never block one another and the result does not depend on any
+    processing order. B is read only for the candidates with
+    w - tie_tolerance <= cap, the heaviest finite joining weight. The cost
+    is O(K^2) time, one K x K float64 working copy, and one K x K float64
+    difference and boolean mask for the candidate filter.
 
     Non-finite distances mark pairs as inadmissible; that is how later
     rounds of multi-graph constructions drop earlier rounds' edges. When
@@ -223,7 +222,8 @@ def build_knnl(dist, k: int) -> SimilarityGraph:
     """Union of the 1st..kth NNLs, each round excluding earlier rounds' edges.
 
     O(k * K^2) time for K distinct values; each round is one ``build_nnl``
-    step on a shared working copy of the distances.
+    step on one shared working copy of the distances, with its own K x K
+    difference and mask for the candidate filter.
     """
     if k < 1:
         raise InputFormatError("k must be >= 1")

@@ -270,17 +270,18 @@ class Diagnostics:
     warnings: list[str] = field(default_factory=list)
 
 
-def _third_moment_sum(c0: SimilarityGraph, m: np.ndarray) -> int:
+def _third_moment_sum(c0: SimilarityGraph, m: np.ndarray, inc: np.ndarray) -> int:
     """Sum over union-graph nodes of degree times the edges touching their neighbourhood.
 
     Exact, from C0 (adjacency A, M = diag(m)) alone, in O(K + |C0| max degree).
-    An observation of value u has degree inc_u = m_u - 1 + (Am)_u, and its
-    neighbourhood (the other m_u - 1 copies of u and the blocks of u's C0
-    neighbours) has degree sum (m_u - 1) inc_u + (A(m inc))_u; the edges
-    touching it are that sum less the edges inside it: C(m_u - 1, 2) among
-    the copies, (A C(m, 2))_u within blocks, (m_u - 1)(Am)_u from copies to
-    blocks and rowsum((AM AM) o A)_u / 2 between blocks. With every m_u = 1
-    the union graph is C0 itself.
+    An observation of value u has degree inc_u = m_u - 1 + (Am)_u, passed in
+    (the union summary's ``SummaryWeights.degree``; C0's degrees when every
+    m_u = 1), and its neighbourhood (the other m_u - 1 copies of u and the
+    blocks of u's C0 neighbours) has degree sum (m_u - 1) inc_u +
+    (A(m inc))_u; the edges touching it are that sum less the edges inside
+    it: C(m_u - 1, 2) among the copies, (A C(m, 2))_u within blocks,
+    (m_u - 1)(Am)_u from copies to blocks and rowsum((AM AM) o A)_u / 2
+    between blocks. With every m_u = 1 the union graph is C0 itself.
     """
     k = c0.n_nodes
     m = np.asarray(m, dtype=np.int64)
@@ -288,7 +289,6 @@ def _third_moment_sum(c0: SimilarityGraph, m: np.ndarray) -> int:
     adj = csr_array((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(k, k))
     adj_m = csr_array((m[cols], (rows, cols)), shape=(k, k))
     mass = adj @ m
-    inc = m - 1 + mass
     inside = (
         (m - 1) * (m - 2) // 2 + adj @ (m * (m - 1) // 2) + (m - 1) * mass
         + (adj_m @ adj_m).multiply(adj).sum(axis=1) // 2
@@ -311,8 +311,8 @@ def _diagnostics(table: DistinctTable, c0: SimilarityGraph, weights: dict, mset:
     """
     n = table.n_total
     k = table.n_values
-    third_avg = _third_moment_sum(c0, np.ones(k, dtype=np.int64))
-    third_union = _third_moment_sum(c0, table.multiplicity)
+    third_avg = _third_moment_sum(c0, np.ones(k, dtype=np.int64), c0.degrees)
+    third_union = _third_moment_sum(c0, table.multiplicity, weights["union"].degree)
 
     ratios = {
         "graph_size_ratio": c0.n_edges / n,

@@ -738,16 +738,31 @@ def _edges_or_infeasible(build):
 
 
 def verify_knnl(rng: np.random.Generator, instances: int) -> list[str]:
-    """The 2- and 3-NNL against the round-by-round recount."""
+    """The 2- and 3-NNL against the round-by-round recount.
+
+    The instances cycle through three kinds: integer ties at tie tolerance
+    0, the same jittered by up to 0.3 at tie tolerance 0.25, and integer
+    ties with inf between two random groups of values, which split them.
+    """
     failures = []
-    for _ in range(instances):
-        d = random_tied_matrix(rng, int(rng.integers(3, 9)))
+    for i in range(instances):
+        n = int(rng.integers(3, 9))
+        d = random_tied_matrix(rng, n).astype(np.float64)
         k = int(rng.integers(2, 4))
-        have = _edges_or_infeasible(lambda: build_knnl(d, k).edges)
-        want = _edges_or_infeasible(lambda: knnl_by_rounds(d, k))
+        tol = 0.0
+        if i % 3 == 1:
+            jitter = np.triu(rng.random((n, n)) * 0.3, 1)
+            d += jitter + jitter.T
+            tol = 0.25
+        elif i % 3 == 2:
+            group = rng.integers(0, 2, size=n)
+            d[group[:, None] != group[None, :]] = np.inf
+        dist = DistanceMatrix(values=d, tie_tolerance=tol) if tol else d
+        have = _edges_or_infeasible(lambda: build_knnl(dist, k).edges)
+        want = _edges_or_infeasible(lambda: knnl_by_rounds(d, k, tol))
         if have != want:
             failures.append(
-                f"{k}-nnl {have} != round-by-round recount {want} "
+                f"{k}-nnl (tie tolerance {tol}) {have} != round-by-round recount {want} "
                 f"for distances {d.tolist()}"
             )
     return failures

@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from edgecount import oracle
+from edgecount import DistanceMatrix, oracle
 from edgecount.cli import main
 from edgecount.graphs import read_graph
 from edgecount.simulate import MallowsModel, sample_mallows, statistic_keys
@@ -634,6 +634,36 @@ def test_verify_catches_an_injected_knnl_error(capsys, monkeypatch):
     assert code == 1
     assert "nnl vs union of all MSTs: PASS" in out
     assert "knnl vs round-by-round recount: FAIL (3 instances)" in out
+    assert "round-by-round recount" in err
+
+
+def _exact_ties_only(build_knnl):
+    def build(dist, k):
+        if isinstance(dist, DistanceMatrix):
+            dist = DistanceMatrix(values=dist.values)
+        return build_knnl(dist, k)
+    return build
+
+
+def _exclusions_admitted(build_knnl):
+    def build(dist, k):
+        if isinstance(dist, np.ndarray):
+            at = np.arange(dist.shape[0])
+            dist = np.where(np.isinf(dist), 10.0 + np.add.outer(at, at), dist)
+        return build_knnl(dist, k)
+    return build
+
+
+@pytest.mark.parametrize("bend", [_exact_ties_only, _exclusions_admitted])
+def test_verify_draws_tolerance_and_exclusion_instances(capsys, monkeypatch, bend):
+    # Each error leaves integer ties at tolerance 0 intact, so only the
+    # jittered or the split instances can catch it.
+    monkeypatch.setattr(oracle, "build_knnl", bend(oracle.build_knnl))
+    code, out, err = run_cli(capsys, [
+        "verify", "--instances", "6", "--max-n", "8", "--seed", "1",
+    ])
+    assert code == 1
+    assert "knnl vs round-by-round recount: FAIL (6 instances)" in out
     assert "round-by-round recount" in err
 
 

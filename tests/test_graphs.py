@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edgecount import (
     DistanceMatrix,
@@ -19,6 +21,7 @@ from edgecount import (
     build_knnl,
     build_nnl,
     count_graph_family,
+    deduplicate,
     enumerate_graph_family,
     expand_to_observations,
     load_table,
@@ -27,6 +30,7 @@ from edgecount import (
     read_graph,
     write_graph,
 )
+from edgecount.graphs import _range_max
 from edgecount.oracle import (
     _edges_or_infeasible,
     _prufer_tree,
@@ -72,6 +76,16 @@ def test_from_edges_reports_the_first_bad_edge_in_input_order():
     assert SimilarityGraph.from_edges(4, np.array([[3, 0], [0, 3], [2, 1]])).edges == (
         (0, 3), (1, 2)
     )
+
+
+@pytest.mark.parametrize("edges", [[(2, 1), (0, 1), (1, 2)], []])
+def test_from_edges_seeds_a_read_only_edge_array(edges):
+    g = SimilarityGraph.from_edges(3, edges)
+    assert "edge_array" in vars(g)  # seeded, not parsed again from the tuples
+    assert g.edge_array.shape == (g.n_edges, 2)
+    assert g.edge_array.dtype == np.int64
+    assert (g.edge_array == np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)).all()
+    assert not g.edge_array.flags.writeable
 
 
 def test_degree_sum_is_twice_edge_count():
@@ -245,6 +259,50 @@ def test_knnl_with_tie_tolerance_equals_round_by_round_recount():
         != build_nnl(DistanceMatrix(values=d)).edges
         for d in matrices
     )
+
+
+def test_knnl_keeps_a_pair_tied_only_after_rounding_the_tolerance():
+    # 1 + 2**-52 minus 2**-53 rounds to 1.0, the minimax weight of (0, 2), so
+    # the pair ties; cap + tol rounds to 1.0 as well, so a candidate filter
+    # written as w <= cap + tol would drop it.
+    d = np.array([[0, 1, 1 + 2**-52], [1, 0, 1], [1 + 2**-52, 1, 0]])
+    tol = 2.0**-53
+    g = build_knnl(DistanceMatrix(values=d, tie_tolerance=tol), 1)
+    assert g.edges == ((0, 1), (0, 2), (1, 2))
+    assert g.edges == knnl_by_rounds(d, 1, tol)
+
+
+def test_range_max_equals_the_brute_force_maximum():
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        js = rng.integers(0, 5, size=n).astype(np.float64)
+        js[rng.random(n) < 0.15] = np.inf  # restarts of the Prim growth
+        js[0] = np.inf
+        lo, hi = np.triu_indices(n, 1)
+        want = [js[i + 1:j + 1].max() for i, j in zip(lo, hi)]
+        assert _range_max(js, lo, hi).tolist() == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-8, 8), min_size=2, max_size=2), min_size=3, max_size=9),
+    st.lists(st.integers(-2**20, 2**20), min_size=2, max_size=2),
+    st.integers(1, 3),
+)
+def test_knnl_of_dyadic_vectors_survives_translation(rows, shift, k):
+    # Quarter-grid points moved by an eighth-grid offset keep every
+    # coordinate difference exact, so every tie between distances survives.
+    points = np.array(rows, dtype=np.float64) / 4
+    labels = [1 + i % 2 for i in range(len(rows))]
+    graphs = []
+    for offset in (0.0, np.array(shift) / 8):
+        table = deduplicate(points + offset, labels, kind="vector")
+        assume(table.n_values >= 2)
+        dist = pairwise_distances(table)
+        graphs.append(_edges_or_infeasible(lambda: build_knnl(dist, k).edges))
+    assert graphs[0] == graphs[1]
+    assert graphs[0] == _edges_or_infeasible(lambda: knnl_by_rounds(dist.values, k))
 
 
 def test_nnl_with_disconnecting_exclusions_is_the_union_of_minimum_spanning_forests():

@@ -337,7 +337,7 @@ def test_third_moment_sum_without_repeats_matches_direct_recount():
         take = rng.random(len(all_pairs)) < 0.5
         edges = [p for p, t in zip(all_pairs, take) if t]
         g = SimilarityGraph.from_edges(k, edges)
-        assert _third_moment_sum(g, np.ones(k, dtype=np.int64)) == _second_order_sum_direct(
+        assert _third_moment_sum(g, np.ones(k, dtype=np.int64), g.degrees) == _second_order_sum_direct(
             g.edges, k
         )
 
