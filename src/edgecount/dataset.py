@@ -14,12 +14,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import InputFormatError
 
 KINDS = ("vector", "ranking", "network")
 
 _DEFAULT_METRIC = {"vector": "euclidean", "ranking": "spearman", "network": "frobenius"}
+
+_PDIST_METRIC = {"euclidean": "euclidean", "spearman": "sqeuclidean", "frobenius": "sqeuclidean",
+                 "footrule": "cityblock", "kendall": "cityblock"}
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -215,33 +219,6 @@ class DistanceMatrix:
         return self.values.shape[0]
 
 
-def _pairwise_sum(x: np.ndarray, elementwise) -> np.ndarray:
-    """Pairwise sums over coordinates of elementwise(x_i - x_j).
-
-    Each entry adds up its own coordinate differences in the same order, so
-    equal gaps give bit-equal distances and the matrix is exactly symmetric.
-    The Gram expansion |x|^2 + |y|^2 - 2 x.y cancels and splits such ties
-    between float vectors.
-    """
-    out = np.zeros((x.shape[0], x.shape[0]))
-    gap = np.empty_like(out)
-    for col in x.T:
-        np.subtract.outer(col, col, out=gap)
-        out += elementwise(gap, out=gap)
-    return out
-
-
-def _pairwise_kendall(ranks: np.ndarray) -> np.ndarray:
-    k, n = ranks.shape
-    iu = np.triu_indices(n, k=1)
-    signs = np.sign(ranks[:, :, None] - ranks[:, None, :])[:, iu[0], iu[1]]
-    concordant_minus_discordant = signs @ signs.T
-    n_pairs = n * (n - 1) // 2
-    d = (n_pairs - concordant_minus_discordant) / 2
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
 def pairwise_distances(
     table: DistinctTable, metric: str | None = None, tie_tolerance: float = 0.0
 ) -> DistanceMatrix:
@@ -249,7 +226,13 @@ def pairwise_distances(
 
     ``metric`` defaults by payload kind: euclidean for vectors, squared
     Frobenius (entry-mismatch count) for networks, Spearman rank distance
-    for rankings; footrule and Kendall are opt-in alternatives.
+    for rankings; footrule and Kendall are opt-in alternatives. Each is one
+    ``pdist`` pass in SciPy's C loops, which adds each pair's own coordinate
+    terms in coordinate order with no matrix product: equal gaps give
+    bit-equal distances, so ties survive, and the matrix is exactly
+    symmetric. Kendall is the cityblock distance between the halved signs
+    of each value's coordinate pairs: the discordant pairs of two rankings
+    (a pair tied in one payload only adds one half, and sums round down).
     """
     if table.representatives is None:
         raise InputFormatError("table has no representatives; distances must be supplied")
@@ -257,18 +240,15 @@ def pairwise_distances(
         if table.kind is None:
             raise InputFormatError("metric required when payload kind is unknown")
         metric = _DEFAULT_METRIC[table.kind]
-    reps = np.asarray(table.representatives, dtype=np.float64)
-    flat = reps.reshape(reps.shape[0], -1)
-    if metric in ("frobenius", "spearman"):
-        values = _pairwise_sum(flat, np.square).astype(np.int64)
-    elif metric == "euclidean":
-        values = np.sqrt(_pairwise_sum(flat, np.square))
-    elif metric == "footrule":
-        values = _pairwise_sum(flat, np.abs).astype(np.int64)
-    elif metric == "kendall":
-        values = np.rint(_pairwise_kendall(flat)).astype(np.int64)
-    else:
+    if metric not in _PDIST_METRIC:
         raise InputFormatError(f"unknown metric {metric!r}")
+    flat = np.asarray(table.representatives, dtype=np.float64).reshape(table.n_values, -1)
+    if metric == "kendall":
+        first, second = np.triu_indices(flat.shape[1], k=1)
+        flat = np.sign(flat[:, first] - flat[:, second]) / 2
+    values = squareform(pdist(flat, _PDIST_METRIC[metric]))
+    if metric != "euclidean":
+        values = values.astype(np.int64)
     return DistanceMatrix(values=values, tie_tolerance=tie_tolerance)
 
 

@@ -4,14 +4,15 @@ The central construction is the nearest neighbor link (NNL): the union of
 all minimum spanning trees, so it keeps ALL tied minimal edges and is
 well-defined on distance matrices with ties, where "the" minimum spanning
 tree is not. A pair is in the NNL when its weight is no more than the
-minimax path weight between its endpoints (within the tie tolerance), read
-off one Prim growth for the few pairs that can qualify. The k-MST instead
-picks one tree per round: the same Prim growth with seeded per-pair keys
-that order equal distances. A graph C0 on the K distinct values induces a
-family of observation-level graphs (one observation-pair choice per C0
-edge crossed with one spanning tree per within-value clique); statistics
-either average over that family in closed form or evaluate on its edge
-union. This module builds C0 and gives its degrees and the family
+minimax path weight between its endpoints (within the tie tolerance), the
+largest single-linkage merge height between them in the leaf order, read
+for the few pairs that can qualify. The k-MST instead picks one tree per
+round: a Prim growth with seeded per-pair keys that order equal distances.
+A graph C0 on the K distinct values induces a family of observation-level
+graphs (one observation-pair choice per C0 edge crossed with one spanning
+tree per within-value clique); statistics either average over that family
+in closed form or evaluate on its edge union. This module builds C0 and
+gives its degrees and the family
 cardinality; the statistics weigh the family's observation pairs
 themselves (``stats.summary_weights``), and only the test oracle lists the
 family's members (``oracle.enumerate_graph_family``).
@@ -24,6 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import squareform
 
 from .dataset import DistanceMatrix, DistinctTable, _frozen
 from .errors import InfeasibleGraphError, InputFormatError
@@ -55,7 +58,8 @@ class SimilarityGraph:
             if a == b:
                 raise InputFormatError(f"self-loop at node {a}")
             raise InputFormatError(f"edge ({a},{b}) outside 0..{n_nodes - 1}")
-        lo, hi = np.divmod(np.unique(lo * n_nodes + hi), n_nodes)
+        keys = np.sort(lo * n_nodes + hi)
+        lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n_nodes)
         graph = cls(n_nodes=n_nodes, edges=tuple(zip(lo.tolist(), hi.tolist())))
         graph.__dict__["edge_array"] = _frozen(np.column_stack((lo, hi)))  # seeds the cache
         return graph
@@ -74,46 +78,48 @@ class SimilarityGraph:
         return _frozen(np.bincount(self.edge_array.ravel(), minlength=self.n_nodes))
 
 
-def _as_matrix(dist) -> tuple[np.ndarray, float]:
+def _admissible(dist) -> tuple[np.ndarray, int, float]:
+    """Condensed float64 pair weights (u < v, row-major, as ``squareform``
+    lays them out) with inf on every non-finite pair, K and the tolerance."""
     if isinstance(dist, DistanceMatrix):
-        return np.asarray(dist.values, dtype=np.float64), float(dist.tie_tolerance)
-    arr = np.asarray(dist, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InputFormatError("distance input must be a square matrix")
-    if not (arr == arr.T).all():
-        raise InputFormatError("distance input must be symmetric")
-    return arr, 0.0
-
-
-def _admissible(dist) -> tuple[np.ndarray, float]:
-    """A float64 copy of the distances with inf on the diagonal and on
-    every non-finite pair, plus the tie tolerance."""
-    arr, tol = _as_matrix(dist)
+        arr, tol = dist.values, float(dist.tie_tolerance)
+    else:
+        arr, tol = np.asarray(dist, dtype=np.float64), 0.0
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise InputFormatError("distance input must be a square matrix")
+        if not (arr == arr.T).all():
+            raise InputFormatError("distance input must be symmetric")
     if arr.shape[0] < 2:
         raise InputFormatError("need at least two distinct values to build a graph")
-    work = np.where(np.isfinite(arr), arr, np.inf)
-    np.fill_diagonal(work, np.inf)
-    return work, tol
+    y = squareform(arr, checks=False).astype(np.float64, copy=False)
+    y[~np.isfinite(y)] = np.inf
+    return y, arr.shape[0], tol
 
 
-def _prim(work: np.ndarray, key: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pairs(index: np.ndarray, n: int) -> np.ndarray:
+    """The pairs (u, v), u < v, at the given condensed indices, as rows."""
+    u = np.arange(n - 1)
+    starts = u * (2 * n - u - 1) // 2  # condensed index of (u, u + 1)
+    us = np.searchsorted(starts, index, side="right") - 1
+    return np.column_stack((us, index - starts[us] + us + 1))
+
+
+def _prim(work: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Grow a minimum spanning forest of the pair weights ``work`` by Prim.
 
-    Returns the nodes in insertion order, each node's parent and the weight
-    of the pair it joined by; the first node of each component has parent
-    -1 and weight inf. Each step adds the outside node with the lightest
-    finite pair into the grown part, and restarts from the lowest-numbered
-    node left when there is none. With ``key``, a symmetric per-pair array,
-    equal weights are ordered by the smaller key and then by the lower pair
-    (u < v, row-major): under that strict order the forest is unique. Each
-    outside node keeps its best pair into the grown part, and for two pairs
-    (t, s) and (p, s) into the same node the lower one is that with t < p.
-    Only comparisons touch the weights, so exact ties stay exact.
+    Returns the nodes in insertion order and each node's parent; the first
+    node of each component has parent -1. Each step adds the outside node
+    with the lightest finite pair into the grown part, and restarts from the
+    lowest-numbered node left when there is none. Equal weights are ordered
+    by the smaller ``key`` (a symmetric per-pair array) and then by the
+    lower pair (u < v, row-major): under that strict order the forest is
+    unique. Each outside node keeps its best pair into the grown part, and
+    for two pairs (t, s) and (p, s) into the same node the lower one is that
+    with t < p. Only comparisons touch the weights, so exact ties stay exact.
     """
     n = work.shape[0]
     order = np.empty(n, dtype=np.intp)
     parent = np.full(n, -1, dtype=np.intp)
-    joined = np.full(n, np.inf)
     best = np.full(n, np.inf)  # lightest pair into the grown part; inf once grown
     best_key = np.full(n, np.inf)
     outside = np.ones(n, dtype=bool)
@@ -123,7 +129,7 @@ def _prim(work: np.ndarray, key: np.ndarray | None = None) -> tuple[np.ndarray, 
         if x == np.inf:  # the grown part is a whole component: start another
             t = int(np.argmax(outside))
             parent[t] = -1
-        elif key is not None:
+        else:
             tied = np.where(best == x, best_key, np.inf)
             t = int(np.argmin(tied))
             same = np.flatnonzero(tied == tied[t])
@@ -131,21 +137,41 @@ def _prim(work: np.ndarray, key: np.ndarray | None = None) -> tuple[np.ndarray, 
                 lo, hi = np.minimum(same, parent[same]), np.maximum(same, parent[same])
                 t = int(same[np.argmin(lo * n + hi)])
         order[i] = t
-        joined[t] = x
         outside[t] = False
         best[t] = np.inf
-        w = work[t]
-        if key is None:
-            closer = outside & (w < best)
-        else:
-            k = key[t]
-            closer = outside & (
-                (w < best) | ((w == best) & ((k < best_key) | ((k == best_key) & (t < parent))))
-            )
-            best_key[closer] = k[closer]
+        w, k = work[t], key[t]
+        closer = outside & (
+            (w < best) | ((w == best) & ((k < best_key) | ((k == best_key) & (t < parent))))
+        )
+        best_key[closer] = k[closer]
         best[closer] = w[closer]
         parent[closer] = t
-    return order, parent, joined
+    return order, parent
+
+
+def _leaf_order(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Single-linkage leaf order of the condensed pair weights ``y``: each
+    value's position, and js, where js[p] is the height of the merge whose
+    right child starts at position p (js[0] is inf). For positions i < j,
+    max(js[i+1..j]) is the height of their lowest common ancestor (merges
+    below it are no higher), which is the minimax path weight B. Excluded
+    pairs (inf) enter as the largest float, which no finite pair exceeds,
+    so they lower no B of two values joined by finite pairs; where they
+    split the values, the merges joining the parts read that float."""
+    z = linkage(np.minimum(y, np.finfo(np.float64).max), "single")
+    left, right = z[:, :2].astype(np.intp).T
+    # A right child's leaves start after its left sibling's: add these
+    # offsets up the tree by pointer doubling (the root adds 0 to itself).
+    up = np.arange(2 * n - 1)
+    up[left] = up[right] = np.arange(n, 2 * n - 1)
+    start = np.zeros(2 * n - 1, dtype=np.intp)
+    start[right] = np.append(np.ones(n, dtype=np.intp), z[:, 3].astype(np.intp))[left]
+    for _ in range(n.bit_length()):
+        start += start[up]
+        up = up[up]
+    js = np.full(n, np.inf)
+    js[start[right]] = z[:, 2]
+    return start[:n], js
 
 
 def _range_max(js: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -162,25 +188,16 @@ def _range_max(js: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.maximum(table[level, lo + 1], table[level, hi - (1 << level) + 1])
 
 
-def _nnl_round(work: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (u < v, row-major order) of one NNL round on ``work``.
-
-    With js the joining weights in Prim's insertion order, B of the nodes at
-    positions i < j of one component is max(js[i+1..j]): every cut between
-    them is crossed by a pair at least as heavy as the one Prim joined by,
-    and each threshold component is one run of positions. So B <= cap, the
-    heaviest finite joining weight, and ``work - tol <= cap`` (that float
+def _nnl_round(y: np.ndarray, n: int, tol: float) -> np.ndarray:
+    """Condensed indices, ascending, of the pairs of one NNL round on ``y``.
+    B <= cap, the highest merge, so ``y - tol <= cap`` (that float
     expression, a necessary condition for the keep test bit for bit)
-    selects the candidates, the only pairs B is read for.
-    """
-    order, _, joined = _prim(work)
-    js = joined[order]
-    cap = js[np.isfinite(js)].max(initial=-np.inf)
-    us, vs = np.divmod(np.flatnonzero(work - tol <= cap), order.size)
-    position = np.argsort(order)  # each node's place in the insertion order
-    lo, hi = np.sort(position[[us, vs]], axis=0)
-    keep = (us < vs) & (_range_max(js, lo, hi) >= work[us, vs] - tol)
-    return us[keep], vs[keep]
+    selects the candidates, the only pairs B is read for."""
+    position, js = _leaf_order(y, n)
+    cap = js[1:].max()
+    index = np.flatnonzero(y - tol <= cap)
+    lo, hi = np.sort(position[_pairs(index, n)], axis=1).T
+    return index[_range_max(js, lo, hi) >= y[index] - tol]
 
 
 def build_nnl(dist) -> SimilarityGraph:
@@ -194,14 +211,16 @@ def build_nnl(dist) -> SimilarityGraph:
     all paths, of the heaviest pair on the path) is at least w. Ties within
     ``tie_tolerance`` count as equal: a pair is kept when B(u, v) >=
     w - tie_tolerance, i.e. when pairs lighter by more than the tolerance
-    leave u and v disconnected. B is the same for every minimum spanning
-    tree and comes from one Prim growth (the largest joining weight between
-    the endpoints' positions in Prim's insertion order), so tied pairs
-    never block one another and the result does not depend on any
-    processing order. B is read only for the candidates with
-    w - tie_tolerance <= cap, the heaviest finite joining weight. The cost
-    is O(K^2) time, one K x K float64 working copy, and one K x K float64
-    difference and boolean mask for the candidate filter.
+    leave u and v disconnected. B is the height at which single linkage
+    (Friedman and Rafsky's minimum spanning tree as a dendrogram) joins u
+    and v: the largest merge height between them in the leaf order. Merge
+    heights are copies of pair weights and only max and comparisons touch
+    them, so exact ties stay exact, tied pairs never block one another and
+    no processing order matters. B is read only for the candidates with
+    w - tie_tolerance <= cap, the highest merge (the largest float when
+    inadmissible pairs split the values). The cost is O(K^2) time in
+    SciPy's single linkage and four condensed vectors of K(K-1)/2 pairs
+    (the weights, the linkage's copy, the filter's difference and mask).
 
     Non-finite distances mark pairs as inadmissible; that is how later
     rounds of multi-graph constructions drop earlier rounds' edges. When
@@ -211,33 +230,33 @@ def build_nnl(dist) -> SimilarityGraph:
     is raised. With every pair finite the result contains a spanning tree
     and is therefore connected.
     """
-    work, tol = _admissible(dist)
-    us, vs = _nnl_round(work, tol)
-    if not us.size:
+    y, n, tol = _admissible(dist)
+    index = _nnl_round(y, n, tol)
+    if not index.size:
         raise InfeasibleGraphError("no admissible pair remains")
-    return SimilarityGraph.from_edges(work.shape[0], np.column_stack((us, vs)))
+    return SimilarityGraph.from_edges(n, _pairs(index, n))
 
 
 def build_knnl(dist, k: int) -> SimilarityGraph:
     """Union of the 1st..kth NNLs, each round excluding earlier rounds' edges.
 
     O(k * K^2) time for K distinct values; each round is one ``build_nnl``
-    step on one shared working copy of the distances, with its own K x K
-    difference and mask for the candidate filter.
+    step on one shared condensed vector of the pair weights, then sets its
+    pairs to inf; no round allocates a K x K array.
     """
     if k < 1:
         raise InputFormatError("k must be >= 1")
-    work, tol = _admissible(dist)
+    y, n, tol = _admissible(dist)
     rounds = []
     for round_index in range(k):
-        us, vs = _nnl_round(work, tol)
-        if not us.size:
+        index = _nnl_round(y, n, tol)
+        if not index.size:
             raise InfeasibleGraphError(
                 f"round {round_index + 1} of {k} has no admissible pair left"
             )
-        work[us, vs] = work[vs, us] = np.inf
-        rounds.append(np.column_stack((us, vs)))
-    return SimilarityGraph.from_edges(work.shape[0], np.concatenate(rounds))
+        y[index] = np.inf
+        rounds.append(index)
+    return SimilarityGraph.from_edges(n, _pairs(np.concatenate(rounds), n))
 
 
 def build_kmst(dist, k: int, seed: int) -> SimilarityGraph:
@@ -259,7 +278,7 @@ def build_kmst(dist, k: int, seed: int) -> SimilarityGraph:
     """
     if k < 1:
         raise InputFormatError("k must be >= 1")
-    work, _ = _admissible(dist)
+    work = squareform(_admissible(dist)[0])  # Prim never reads its zero diagonal
     n = work.shape[0]
     rng = np.random.default_rng(seed)
     key = np.zeros_like(work)
@@ -268,7 +287,7 @@ def build_kmst(dist, k: int, seed: int) -> SimilarityGraph:
         for u in range(n - 1):
             rng.random(out=key[u, u + 1:])
             key[u + 1:, u] = key[u, u + 1:]
-        order, parent, _ = _prim(work, key)
+        order, parent = _prim(work, key)
         child = order[1:]
         if (parent[child] < 0).any():
             raise InfeasibleGraphError(

@@ -92,6 +92,20 @@ def distance_euclidean(a, b) -> float:
     return float(np.sqrt(((a - b) ** 2).sum()))
 
 
+def pairwise_by_coordinates(payloads, metric: str) -> np.ndarray:
+    """All pairwise distances between flattened payloads, one K x K pass per
+    coordinate: each pair adds its own terms in coordinate order, squared
+    differences for spearman and frobenius (under a square root for
+    euclidean) and absolute differences for footrule."""
+    x = np.asarray(payloads, dtype=np.float64)
+    x = x.reshape(x.shape[0], -1)
+    term = np.abs if metric == "footrule" else np.square
+    out = np.zeros((x.shape[0], x.shape[0]))
+    for col in x.T:
+        out += term(np.subtract.outer(col, col))
+    return np.sqrt(out) if metric == "euclidean" else out
+
+
 # --- the induced graph family, member by member ----------------------------
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edgecount import (
     DistanceMatrix,
@@ -26,6 +27,7 @@ from edgecount import (
     write_distance_input,
     write_observations,
 )
+from edgecount.oracle import pairwise_by_coordinates
 
 # --- deduplicate -----------------------------------------------------------
 
@@ -363,6 +365,42 @@ def test_euclidean_distances_keep_the_ties_of_a_float_grid(side, shift):
     )
     table = deduplicate(coords, labels=[1 + i % 2 for i in range(side * side)], kind="vector")
     assert build_nnl(pairwise_distances(table)).n_edges == 2 * side * (side - 1)
+
+
+@st.composite
+def _payloads(draw):
+    """(payloads, kind, metric): float vectors at scales 1e-5..1e5, dyadic
+    grids with and without a translation, rankings and networks."""
+    n = draw(st.integers(2, 10))
+    style = draw(st.sampled_from(["float", "grid", "shifted grid", "ranking", "network"]))
+    if style == "ranking":
+        n_obj = draw(st.integers(2, 9))
+        rows = draw(st.lists(st.permutations(range(1, n_obj + 1)), min_size=n, max_size=n))
+        return np.array(rows), "ranking", draw(st.sampled_from(["spearman", "footrule"]))
+    if style == "network":
+        side = draw(st.integers(1, 4))
+        return draw(arrays(np.int64, (n, side, side), elements=st.integers(0, 1))), "network", "frobenius"
+    dim = draw(st.integers(1, 11))
+    if style == "float":
+        # full 53-bit mantissas, with no gap so small that its square underflows
+        scale = 10.0 ** draw(st.integers(-5, 5)) / 2**52
+        rows = scale * draw(arrays(np.int64, (n, dim), elements=st.integers(-2**52, 2**52)))
+    else:
+        rows = draw(arrays(np.int64, (n, dim), elements=st.integers(-8, 8))) / 4
+        if style == "shifted grid":
+            rows = rows + draw(arrays(np.int64, dim, elements=st.integers(-2**20, 2**20))) / 8
+    return rows, "vector", "euclidean"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_payloads())
+def test_pairwise_distances_equal_the_coordinate_by_coordinate_sums(case):
+    payloads, kind, metric = case
+    table = deduplicate(payloads, [1 + i % 2 for i in range(len(payloads))], kind=kind)
+    values = np.asarray(pairwise_distances(table, metric=metric).values)
+    want = pairwise_by_coordinates(table.representatives, metric)
+    assert values.dtype == (np.float64 if metric == "euclidean" else np.int64)
+    assert np.array_equal(values, want)
 
 
 def test_expand_to_observations_places_zeros_between_repeats():

@@ -6,8 +6,11 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +33,7 @@ from edgecount import (
     read_graph,
     write_graph,
 )
-from edgecount.graphs import _range_max
+from edgecount.graphs import _leaf_order, _range_max
 from edgecount.oracle import (
     _edges_or_infeasible,
     _prufer_tree,
@@ -76,6 +79,18 @@ def test_from_edges_reports_the_first_bad_edge_in_input_order():
     assert SimilarityGraph.from_edges(4, np.array([[3, 0], [0, 3], [2, 1]])).edges == (
         (0, 3), (1, 2)
     )
+
+
+def test_from_edges_keeps_the_sorted_unique_pairs_of_repeated_edges_in_both_orientations():
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        n = int(rng.integers(2, 12))
+        u = rng.integers(0, n, size=int(rng.integers(1, 60)))
+        v = (u + rng.integers(1, n, size=u.size)) % n
+        keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+        g = SimilarityGraph.from_edges(n, np.column_stack((u, v)))
+        assert g.edge_array.tolist() == np.column_stack(np.divmod(keys, n)).tolist()
+        assert g.edges == tuple(map(tuple, g.edge_array.tolist()))
 
 
 @pytest.mark.parametrize("edges", [[(2, 1), (0, 1), (1, 2)], []])
@@ -277,11 +292,64 @@ def test_range_max_equals_the_brute_force_maximum():
     for _ in range(200):
         n = int(rng.integers(2, 40))
         js = rng.integers(0, 5, size=n).astype(np.float64)
-        js[rng.random(n) < 0.15] = np.inf  # restarts of the Prim growth
+        js[rng.random(n) < 0.15] = np.inf  # merges across components
         js[0] = np.inf
         lo, hi = np.triu_indices(n, 1)
         want = [js[i + 1:j + 1].max() for i, j in zip(lo, hi)]
         assert _range_max(js, lo, hi).tolist() == want
+
+
+def test_leaf_order_range_maxima_are_the_minimax_path_weights():
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        n = int(rng.integers(2, 12))
+        d = random_tied_matrix(rng, n).astype(np.float64)
+        cut = np.triu(rng.random((n, n)) < 0.4, 1)  # exclusions that may split the values
+        d[cut | cut.T] = np.inf
+        # the linkage sees an excluded pair as the largest float
+        minimax = np.minimum(d, np.finfo(np.float64).max)
+        for w in range(n):  # Floyd-Warshall on the heaviest pair of a path
+            minimax = np.minimum(minimax, np.maximum(minimax[:, w:w + 1], minimax[w:w + 1, :]))
+        position, js = _leaf_order(squareform(d, checks=False), n)
+        assert sorted(position.tolist()) == list(range(n))
+        for u in range(n):
+            for v in range(u + 1, n):
+                lo, hi = sorted((position[u], position[v]))
+                assert js[lo + 1:hi + 1].max() == minimax[u, v], (u, v, d.tolist())
+
+
+def _assert_knnl_matches_the_oracle_without_warnings(d, ks=(1, 2, 3)):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in ks:
+            have = _edges_or_infeasible(lambda: build_knnl(d, k).edges)
+            assert have == _edges_or_infeasible(lambda: knnl_by_rounds(d, k)), (k, d.tolist())
+
+
+def test_knnl_with_a_finite_largest_float_and_splitting_exclusions():
+    big = np.finfo(np.float64).max
+    rng = np.random.default_rng(67)
+    for _ in range(100):
+        n = int(rng.integers(3, 9))
+        d = np.array([1.0, 2.0, big])[random_tied_matrix(rng, n, high=3) - 1]
+        group = rng.integers(0, 2, size=n)
+        d[group[:, None] != group[None, :]] = np.inf
+        np.fill_diagonal(d, 0.0)
+        _assert_knnl_matches_the_oracle_without_warnings(d)
+
+
+def test_knnl_tells_zero_from_the_smallest_subnormal_weight():
+    rng = np.random.default_rng(71)
+    for _ in range(100):
+        n = int(rng.integers(3, 9))
+        d = np.array([0.0, 5e-324, 1.0])[random_tied_matrix(rng, n, high=3) - 1]
+        np.fill_diagonal(d, 0.0)
+        _assert_knnl_matches_the_oracle_without_warnings(d)
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0, np.finfo(np.float64).max, np.inf])
+def test_knnl_on_two_values(w):
+    _assert_knnl_matches_the_oracle_without_warnings(np.array([[0.0, w], [w, 0.0]]), ks=(1, 2))
 
 
 @settings(max_examples=80, deadline=None)
